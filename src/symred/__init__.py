@@ -26,7 +26,7 @@ from .checks import (
 )
 from .linalg import SingularImplicitSystem, gaussian_eliminate
 from .reduce import (
-    Ansatz, AnsatzFrame, BacklundRelation, ReductionFailure, UnreducedVariable,
+    Ansatz, AnsatzFrame, BacklundRelation, ReductionFailure,
     ansatz_derivatives, check_overdetermined, derive_reduction,
     systems_equivalent, verify_backlund, verify_reduction,
 )

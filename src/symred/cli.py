@@ -1,10 +1,13 @@
 """Command-line driver: ``symred {check|reduce|verify|paper-suite}``.
 
 Exit codes: 0 all checks pass, 1 any failure, 2 inconclusive,
-3 usage or parse errors.  Every result line carries the seed and the
-tolerances it was computed with; machine output is JSON-lines with a
-stable schema {case, kind, verdict, residual_max, seed, tolerances,
-provenance}.
+3 usage or parse errors, 4 a check stopped on a runtime error.  A
+runtime error (``ExprError`` or ``ValueError``) while checking one entry
+becomes that entry's row, with verdict ``error`` and the message in
+``detail``; the other entries still run.  Every result line carries the
+seed and the tolerances it was computed with; machine output is
+JSON-lines with a stable schema {case, kind, verdict, residual_max,
+seed, tolerances, provenance}.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_ERROR = 4
+
+# runtime faults of one entry's check, reported as that entry's row
+ENTRY_FAULTS = (ExprError, ValueError)
 
 DEFAULT_EXPLICIT_TOL = 1e-9
 DEFAULT_IMPLICIT_TOL = 1e-4
@@ -60,6 +67,13 @@ def _record(case: str, kind: str, verdict: str, residual_max: float,
     return rec
 
 
+def _error_record(case: str, kind: str, seed: int, tol: float | None,
+                  exc: Exception, expect: str = "") -> dict:
+    t = 0.0 if tol is None else tol
+    return _record(case, kind, "error", 0.0, seed, t, t, "none",
+                   expect=expect, detail=f"{type(exc).__name__}: {exc}")
+
+
 def _from_check_report(case: str, rep, expect: str = "") -> dict:
     d = rep.to_dict()
     return _record(case, rep.kind, rep.verdict, abs(d["residual_max"]),
@@ -75,12 +89,17 @@ def _run_operator(bundle: ProblemBundle, entry, seed: int,
         kw = {"tol_abs": tol, "tol_rel": tol}
     mode = mode or entry.mode
     if isinstance(entry.operator, CanonicalOperator) or mode == "lb":
-        rep = check_lie_backlund(entry.operator, sys_, seed=seed, **kw)
+        kind, check = "lie-backlund", check_lie_backlund
     elif mode == "conditional":
-        rep = check_conditional(entry.operator, sys_, seed=seed, **kw)
+        kind, check = "conditional", check_conditional
     else:
-        rep = check_classical(entry.operator, sys_, seed=seed, **kw)
-    return _from_check_report(f"{bundle.name}:{entry.name}", rep, expect)
+        kind, check = "classical", check_classical
+    case = f"{bundle.name}:{entry.name}"
+    try:
+        rep = check(entry.operator, sys_, seed=seed, **kw)
+    except ENTRY_FAULTS as exc:
+        return _error_record(case, kind, seed, tol, exc, expect)
+    return _from_check_report(case, rep, expect)
 
 
 def _run_reduce(bundle: ProblemBundle, entry, candidate: str, seed: int,
@@ -96,13 +115,23 @@ def _run_reduce(bundle: ProblemBundle, entry, candidate: str, seed: int,
     if candidate:
         if candidate not in bundle.reduced:
             raise UsageFault(f"unknown reduced system {candidate!r}")
-        rep = verify_reduction(entry.ansatz, original,
-                               bundle.reduced[candidate], seed=seed, **kw)
-        records.append(_from_check_report(
-            f"{bundle.name}:{entry.name}->{candidate}", rep, expect))
+        case = f"{bundle.name}:{entry.name}->{candidate}"
+        try:
+            rep = verify_reduction(entry.ansatz, original,
+                                   bundle.reduced[candidate], seed=seed, **kw)
+        except ENTRY_FAULTS as exc:
+            records.append(_error_record(case, "reduction", seed, tol, exc,
+                                         expect))
+        else:
+            records.append(_from_check_report(case, rep, expect))
     else:
-        out = derive_reduction(entry.ansatz, original, seed=seed)
         case = f"{bundle.name}:{entry.name}:derive"
+        try:
+            out = derive_reduction(entry.ansatz, original, seed=seed)
+        except ENTRY_FAULTS as exc:
+            records.append(_error_record(case, "derivation", seed, tol, exc,
+                                         expect))
+            return records
         if isinstance(out, ReductionFailure):
             records.append(_record(case, "derivation", "fail", 0.0, seed,
                                    tol or 1e-9, tol or 1e-9, "symbolic",
@@ -123,12 +152,17 @@ def _run_derive_cross(bundle: ProblemBundle, entry, seed: int,
     bundled candidate."""
     original = bundle.equations[entry.original]
     case = f"{bundle.name}:{entry.name}:derive"
-    out = derive_reduction(entry.ansatz, original, seed=seed)
-    if isinstance(out, ReductionFailure):
-        return _record(case, "derivation", "fail", 0.0, seed, 1e-9, 1e-9,
-                       "symbolic", expect=expect, detail=out.reason)
-    rep = systems_equivalent(out, bundle.reduced[entry.candidate], seed=seed,
-                             constraints=bundle.param_constraints)
+    try:
+        out = derive_reduction(entry.ansatz, original, seed=seed)
+        if isinstance(out, ReductionFailure):
+            return _record(case, "derivation", "fail", 0.0, seed, 1e-9, 1e-9,
+                           "symbolic", expect=expect, detail=out.reason)
+        rep = systems_equivalent(out, bundle.reduced[entry.candidate],
+                                 seed=seed,
+                                 constraints=bundle.param_constraints)
+    except ENTRY_FAULTS as exc:
+        return _error_record(case, "system-equivalence", seed, None, exc,
+                             expect)
     return _from_check_report(case, rep, expect)
 
 
@@ -137,14 +171,17 @@ def _run_solution(bundle: ProblemBundle, spec, seed: int, tol: float | None,
     sys_ = bundle.system(spec.of)
     binding = spec.make_binding()
     form = spec.make_form(sys_.js.dependents)
-    plan = spec.make_plan(seed=seed if seed != spec.seed else None)
+    plan = spec.make_plan(seed=seed)
     implicit = fd or spec.kind == "implicit"
-    if implicit:
-        rep = residual_implicit(form, sys_, plan, binding)
-        default_tol = DEFAULT_IMPLICIT_TOL
-    else:
-        rep = residual_explicit(form, sys_, plan, binding)
-        default_tol = DEFAULT_EXPLICIT_TOL
+    try:
+        if implicit:
+            rep = residual_implicit(form, sys_, plan, binding)
+        else:
+            rep = residual_explicit(form, sys_, plan, binding)
+    except ENTRY_FAULTS as exc:
+        return _error_record(f"{bundle.name}:{spec.name}", "solution",
+                             plan.seed, tol, exc, expect)
+    default_tol = DEFAULT_IMPLICIT_TOL if implicit else DEFAULT_EXPLICIT_TOL
     use_tol = tol if tol is not None else \
         (spec.tol if spec.tol is not None and not (fd and spec.kind != "implicit")
          else default_tol)
@@ -164,8 +201,12 @@ def _run_backlund(bundle: ProblemBundle, entry, seed: int,
     kw = {}
     if tol is not None:
         kw = {"tol_abs": tol, "tol_rel": tol}
-    rep = verify_backlund(entry.relation, seed=seed, **kw)
-    return _from_check_report(f"{bundle.name}:{entry.name}", rep, expect)
+    case = f"{bundle.name}:{entry.name}"
+    try:
+        rep = verify_backlund(entry.relation, seed=seed, **kw)
+    except ENTRY_FAULTS as exc:
+        return _error_record(case, "backlund", seed, tol, exc, expect)
+    return _from_check_report(case, rep, expect)
 
 
 def _run_overdetermined(bundle: ProblemBundle, spec, seed: int,
@@ -173,10 +214,14 @@ def _run_overdetermined(bundle: ProblemBundle, spec, seed: int,
     kw = {}
     if tol is not None:
         kw = {"tol_abs": tol, "tol_rel": tol}
-    rep = check_overdetermined(spec.assignments, bundle.space, seed=seed,
-                               constraints=spec.constraints, box=spec.box,
-                               n=spec.n, **kw)
-    return _from_check_report(f"{bundle.name}:{spec.name}", rep, expect)
+    case = f"{bundle.name}:{spec.name}"
+    try:
+        rep = check_overdetermined(spec.assignments, bundle.space, seed=seed,
+                                   constraints=spec.constraints, box=spec.box,
+                                   n=spec.n, **kw)
+    except ENTRY_FAULTS as exc:
+        return _error_record(case, "overdetermined", seed, tol, exc, expect)
+    return _from_check_report(case, rep, expect)
 
 
 # -- output -----------------------------------------------------------------
@@ -202,13 +247,13 @@ def _emit(records, fmt: str, stream) -> None:
 def _exit_code(records, honor_expect: bool = False) -> int:
     verdicts = []
     for rec in records:
-        if honor_expect and "expect" in rec:
-            if rec["verdict"] == "inconclusive":
-                verdicts.append("inconclusive")
-            else:
-                verdicts.append("pass" if rec["ok"] else "fail")
-        else:
-            verdicts.append(rec["verdict"])
+        v = rec["verdict"]
+        if honor_expect and "expect" in rec and \
+                v not in ("inconclusive", "error"):
+            v = "pass" if rec["ok"] else "fail"
+        verdicts.append(v)
+    if any(v == "error" for v in verdicts):
+        return EXIT_ERROR
     if any(v == "fail" for v in verdicts):
         return EXIT_FAIL
     if any(v == "inconclusive" for v in verdicts):
@@ -408,7 +453,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe early (``| head``).  Python flushes
+        # stdout again at exit; point it at devnull so that flush cannot
+        # fail too, and exit 1 without a traceback, as the Python docs
+        # recommend.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_FAIL
     except UsageFault as e:
         print(f"symred: {e}", file=sys.stderr)
         return EXIT_USAGE

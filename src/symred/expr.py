@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 
@@ -47,9 +48,17 @@ _KIND_ADD = 8
 
 
 class Expr:
-    """Base class; all nodes are immutable and hashable."""
+    """Base class; all nodes are immutable and hashable.
 
-    __slots__ = ()
+    Nodes are slotted.  Besides its fields, a node has two cache slots,
+    set with ``object.__setattr__`` and unset until first use: its hash,
+    computed the first time it is asked for, and the tape
+    :func:`eval_with_scale` runs, built the first time the node is
+    evaluated.  Both live as long as the node does.  Pickling keeps only
+    the fields.
+    """
+
+    __slots__ = ("_hash", "_tape")
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -87,7 +96,27 @@ class Expr:
         return parser.print_expression(self)
 
 
-@dataclass(frozen=True, repr=False)
+def _hash_once(cls):
+    """Make a node class store the dataclass field hash on the node the
+    first time it is computed.  The value is still the field hash, so
+    sets of nodes iterate in the same order as with the plain dataclass
+    hash."""
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
+@dataclass(frozen=True, repr=False, slots=True)
 class Num(Expr):
     value: Fraction
 
@@ -96,19 +125,22 @@ class Num(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True, repr=False)
+@_hash_once
+@dataclass(frozen=True, repr=False, slots=True)
 class Var(Expr):
     """Independent variable (also used for invariant variables)."""
 
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@_hash_once
+@dataclass(frozen=True, repr=False, slots=True)
 class Param(Expr):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@_hash_once
+@dataclass(frozen=True, repr=False, slots=True)
 class Jet(Expr):
     """Jet coordinate: dependent variable with a derivative multi-index.
 
@@ -136,23 +168,27 @@ class Jet(Expr):
         return Jet(self.dep, tuple(d.items()))
 
 
-@dataclass(frozen=True, repr=False)
+@_hash_once
+@dataclass(frozen=True, repr=False, slots=True)
 class Add(Expr):
     terms: tuple
 
 
-@dataclass(frozen=True, repr=False)
+@_hash_once
+@dataclass(frozen=True, repr=False, slots=True)
 class Mul(Expr):
     factors: tuple
 
 
-@dataclass(frozen=True, repr=False)
+@_hash_once
+@dataclass(frozen=True, repr=False, slots=True)
 class Pow(Expr):
     base: Expr
     exp: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@_hash_once
+@dataclass(frozen=True, repr=False, slots=True)
 class Func(Expr):
     """Builtin unary function application (sqrt normalizes to Pow ^1/2)."""
 
@@ -160,7 +196,8 @@ class Func(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@_hash_once
+@dataclass(frozen=True, repr=False, slots=True)
 class Opaque(Expr):
     """Opaque function symbol applied to one argument.
 
@@ -357,19 +394,35 @@ def pow_(base, exp) -> Expr:
 _ODD_FUNCTIONS = ("sin", "tan", "arctan")
 
 
+def _leads_negative(t: Expr) -> bool:
+    """A negative number, or a product with a negative coefficient."""
+    if isinstance(t, Mul):
+        t = t.factors[0]
+    return isinstance(t, Num) and t.value < 0
+
+
 def _extract_negation(e: Expr):
     """Canonical sign of an argument: negative numbers, products with a
     negative coefficient, and sums whose leading term is negative."""
-    if isinstance(e, Num):
-        return e.value < 0, Num(-e.value)
-    if isinstance(e, Mul) and isinstance(e.factors[0], Num) and e.factors[0].value < 0:
-        return True, mul(NUM_MINUS_ONE, e)
-    if isinstance(e, Add):
-        neg, _ = _extract_negation(e.terms[0])
-        if neg:
-            # negate term-by-term so the result is again a plain sum;
-            # wrapping in Mul(-1, ...) would re-trigger extraction
-            return True, add(*(mul(NUM_MINUS_ONE, t) for t in e.terms))
+    if isinstance(e, Num) and e.value < 0:
+        return True, Num(-e.value)
+    if isinstance(e, Mul) and _leads_negative(e):
+        pos = mul(NUM_MINUS_ONE, e)
+        if isinstance(pos, Add):
+            # -(sum): the sum itself may carry the canonical sign
+            neg, canon = _extract_negation(pos)
+            return not neg, canon
+        return True, pos
+    if isinstance(e, Add) and _leads_negative(e.terms[0]):
+        # negate term-by-term so the result is again a plain sum;
+        # wrapping in Mul(-1, ...) would re-trigger extraction
+        flipped = add(*(mul(NUM_MINUS_ONE, t) for t in e.terms))
+        # when both signs lead with a negative term, the one with the
+        # smaller sort key is canonical, so that e and -e agree
+        if isinstance(flipped, Add) and _leads_negative(flipped.terms[0]) \
+                and sort_key(e) < sort_key(flipped):
+            return False, e
+        return True, flipped
     return False, e
 
 
@@ -380,11 +433,9 @@ def func(name: str, arg) -> Expr:
     if name not in BUILTIN_FUNCTIONS:
         raise ValueError(f"unknown builtin function {name!r}")
     if name in _ODD_FUNCTIONS or name in ("cos", "abs"):
-        neg, pos = _extract_negation(arg)
-        if neg:
-            if name in _ODD_FUNCTIONS:
-                return mul(NUM_MINUS_ONE, Func(name, pos))
-            return Func(name, pos)
+        neg, arg = _extract_negation(arg)
+        if neg and name in _ODD_FUNCTIONS:
+            return mul(NUM_MINUS_ONE, Func(name, arg))
     return Func(name, arg)
 
 
@@ -658,6 +709,22 @@ _MATH_TABLE = {
 }
 
 
+_NO_BINDING = ParameterBinding()
+_ABSENT = object()
+
+# tape entries are (op, slot, a, b, c); operands a, b name earlier slots
+# unless noted
+_MUL = 0      # a: getter of the factor values
+_ADD = 1      # a: getter of the term values
+_LEAF = 2     # a: the Var or Jet, looked up in the point
+_POW = 3      # c: the exponent as an int when it is an integer Num
+_FUNC = 4     # b: the builtin's name
+_LN = 5
+_PARAM = 6    # a: the Param
+_OPAQUE = 7   # b: the function's name, c: the derivative order
+_NUM = 8      # a: the Fraction
+
+
 def eval_numeric(e: Expr, point: Mapping[Expr, float] | None = None,
                  binding: ParameterBinding | None = None) -> float:
     """IEEE double evaluation.  NaN/Inf and out-of-domain arguments raise
@@ -669,73 +736,134 @@ def eval_numeric(e: Expr, point: Mapping[Expr, float] | None = None,
 def eval_with_scale(e: Expr, point: Mapping[Expr, float] | None = None,
                     binding: ParameterBinding | None = None):
     """Evaluate and also report the largest |subterm| encountered, used
-    for relative tolerance in the zero test."""
+    for relative tolerance in the zero test.
+
+    Each unique subexpression is evaluated once, in the order in which a
+    left-to-right walk of the tree first finishes it.  Value, scale and
+    the first fault raised are therefore those of a walk that visits
+    every node, shared subtrees as often as they occur."""
     point = point or {}
-    binding = binding or ParameterBinding()
-    scale = [0.0]
-    val = _eval(e, point, binding, scale)
-    return val, scale[0]
-
-
-def _note(scale, v: float) -> float:
-    if not math.isfinite(v):
-        raise DomainFault("non-finite intermediate value")
-    a = abs(v)
-    if a > scale[0]:
-        scale[0] = a
-    return v
-
-
-def _eval(e: Expr, point, binding, scale) -> float:
-    if isinstance(e, Num):
-        return _note(scale, float(e.value))
-    if isinstance(e, (Var, Jet)):
-        if e in point:
-            return _note(scale, float(point[e]))
-        raise UnboundSymbol(f"unbound symbol {e!r}")
-    if isinstance(e, Param):
-        if e in point:
-            return _note(scale, float(point[e]))
-        if e.name in binding.params:
-            return _note(scale, float(binding.params[e.name]))
-        raise UnboundSymbol(f"unbound parameter {e.name}")
-    if isinstance(e, Add):
-        return _note(scale, sum(_eval(t, point, binding, scale) for t in e.terms))
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval(f, point, binding, scale)
-        return _note(scale, out)
-    if isinstance(e, Pow):
-        b = _eval(e.base, point, binding, scale)
-        x = _eval(e.exp, point, binding, scale)
-        if b == 0.0 and x < 0:
-            raise DomainFault("division by zero")
-        if b < 0.0:
-            if isinstance(e.exp, Num) and e.exp.value.denominator == 1:
-                return _note(scale, b ** int(e.exp.value))
-            raise DomainFault("negative base under fractional power")
-        try:
-            return _note(scale, b ** x)
-        except OverflowError as exc:
-            raise DomainFault("overflow in power") from exc
-    if isinstance(e, Func):
-        a = _eval(e.arg, point, binding, scale)
-        if e.name == "ln":
-            if a <= 0.0:
+    binding = binding or _NO_BINDING
+    try:
+        ops, consts = e._tape
+    except AttributeError:
+        ops, consts = tape = _compile(e)
+        object.__setattr__(e, "_tape", tape)
+    vals = list(consts)
+    isfinite = math.isfinite
+    for op, i, a, b, c in ops:
+        if op == _MUL:
+            v = 1.0
+            for f in a(vals):
+                v *= f
+        elif op == _ADD:
+            v = sum(a(vals))
+        elif op == _LEAF:
+            v = point.get(a, _ABSENT)
+            if v is _ABSENT:
+                raise UnboundSymbol(f"unbound symbol {a!r}")
+            v = float(v)
+        elif op == _POW:
+            base = vals[a]
+            x = vals[b]
+            if base == 0.0 and x < 0:
+                raise DomainFault("division by zero")
+            if base < 0.0:
+                if c is None:
+                    raise DomainFault("negative base under fractional power")
+                v = base ** c
+            else:
+                try:
+                    v = base ** x
+                except OverflowError as exc:
+                    raise DomainFault("overflow in power") from exc
+        elif op == _FUNC:
+            try:
+                v = _MATH_TABLE[b](vals[a])
+            except (ValueError, OverflowError) as exc:
+                raise DomainFault(str(exc)) from exc
+        elif op == _LN:
+            v = vals[a]
+            if v <= 0.0:
                 raise DomainFault("ln of non-positive value")
-            return _note(scale, math.log(a))
-        try:
-            return _note(scale, _MATH_TABLE[e.name](a))
-        except (ValueError, OverflowError) as exc:
-            raise DomainFault(str(exc)) from exc
-    if isinstance(e, Opaque):
-        a = _eval(e.arg, point, binding, scale)
-        inst = binding.functions.get(e.name)
-        if inst is None:
-            raise UnboundSymbol(f"opaque function {e.name!r} unbound")
-        try:
-            return _note(scale, float(inst(e.order, a)))
-        except (ValueError, OverflowError) as exc:
-            raise DomainFault(str(exc)) from exc
-    raise TypeError(type(e))
+            v = math.log(v)
+        elif op == _PARAM:
+            v = point.get(a, _ABSENT)
+            if v is _ABSENT:
+                v = binding.params.get(a.name, _ABSENT)
+                if v is _ABSENT:
+                    raise UnboundSymbol(f"unbound parameter {a.name}")
+            v = float(v)
+        elif op == _OPAQUE:
+            inst = binding.functions.get(b)
+            if inst is None:
+                raise UnboundSymbol(f"opaque function {b!r} unbound")
+            try:
+                v = float(inst(c, vals[a]))
+            except (ValueError, OverflowError) as exc:
+                raise DomainFault(str(exc)) from exc
+        else:  # _NUM whose value overflows a float: raises here, in order
+            v = float(a)
+        if not isfinite(v):
+            raise DomainFault("non-finite intermediate value")
+        vals[i] = v
+    return vals[-1], max(map(abs, vals))
+
+
+def _compile(e: Expr):
+    """The tape of ``e``: its unique nodes in postorder, each after its
+    operands, in the order a recursive left-to-right walk first finishes
+    them.  Returns the entries for every node that is not a constant,
+    and the initial slot values with the constants filled in."""
+    slots: dict = {}
+    consts: list = []
+    ops: list = []
+    stack = [e]
+    while stack:
+        n = stack[-1]
+        if n in slots:
+            stack.pop()
+            continue
+        pending = [k for k in children(n) if k not in slots]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        i = slots[n] = len(consts)
+        consts.append(0.0)
+        if isinstance(n, Num):
+            try:
+                consts[i] = float(n.value)
+                continue
+            except OverflowError:
+                ops.append((_NUM, i, n.value, None, None))
+        elif isinstance(n, (Var, Jet)):
+            ops.append((_LEAF, i, n, None, None))
+        elif isinstance(n, Param):
+            ops.append((_PARAM, i, n, None, None))
+        elif isinstance(n, (Add, Mul)):
+            getter = _getter(tuple(slots[k] for k in children(n)))
+            ops.append((_ADD if isinstance(n, Add) else _MUL, i, getter,
+                        None, None))
+        elif isinstance(n, Pow):
+            k = None
+            if isinstance(n.exp, Num) and n.exp.value.denominator == 1:
+                k = int(n.exp.value)
+            ops.append((_POW, i, slots[n.base], slots[n.exp], k))
+        elif isinstance(n, Func):
+            if n.name == "ln":
+                ops.append((_LN, i, slots[n.arg], None, None))
+            else:
+                ops.append((_FUNC, i, slots[n.arg], n.name, None))
+        elif isinstance(n, Opaque):
+            ops.append((_OPAQUE, i, slots[n.arg], n.name, n.order))
+        else:
+            raise TypeError(type(n))
+    return tuple(ops), tuple(consts)
+
+
+def _getter(idx: tuple):
+    """Callable that returns the values at ``idx`` as a tuple."""
+    if len(idx) >= 2:
+        return itemgetter(*idx)
+    return lambda vals: tuple(vals[j] for j in idx)

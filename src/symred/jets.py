@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from .expr import (
@@ -148,7 +147,7 @@ class CanonicalOperator:
 
 class ProlongedField:
     """Prolongation of a point field; coefficients computed lazily via
-    the standard recursion and cached (append-only, lock-guarded)."""
+    the standard recursion and cached."""
 
     def __init__(self, vf: VectorField, order: int, js: JetSpace):
         if order < 1:
@@ -157,13 +156,11 @@ class ProlongedField:
         self.order = order
         self.js = js
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def coefficient(self, jet: Jet) -> Expr:
         key = (jet.dep, jet.index)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
+        if key in self._cache:
+            return self._cache[key]
         if jet.order == 0:
             val = self.vf.eta.get(jet.dep, ZERO)
         else:
@@ -176,8 +173,7 @@ class ProlongedField:
                 dxi = total_derivative(xij, v, self.js)
                 if dxi != ZERO:
                     val = add(val, mul(Num(-1), lower.lift(xj), dxi))
-        with self._lock:
-            self._cache.setdefault(key, val)
+        self._cache[key] = val
         return val
 
 

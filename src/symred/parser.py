@@ -38,10 +38,6 @@ class SymbolContext:
     dependents: dict = field(default_factory=dict)  # name -> argument vars
     functions: tuple = ()  # opaque function symbols
 
-    def copy(self) -> "SymbolContext":
-        return SymbolContext(tuple(self.independent), tuple(self.params),
-                             dict(self.dependents), tuple(self.functions))
-
 
 # ---------------------------------------------------------------------------
 # tokenizer

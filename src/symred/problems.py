@@ -56,7 +56,7 @@ class SolutionSpec:
     grid: tuple = ()
     h: float = 1e-4
     n: int = 64
-    seed: int = 0
+    seed: int | None = None   # the bundle's seed key; None when unset
     tol: float | None = None
     expect: str = "pass"
     aux: list = field(default_factory=list)  # auxiliary scalar unknowns
@@ -100,8 +100,12 @@ class SolutionSpec:
                             name=self.name)
 
     def make_plan(self, seed=None, h=None) -> SamplePlan:
+        """Sampling plan.  The bundle's ``seed`` key, when set, pins the
+        seed; otherwise ``seed`` applies, and 0 when that is None too."""
+        if self.seed is not None:
+            seed = self.seed
         return SamplePlan(box=dict(self.box), n=self.n,
-                          seed=self.seed if seed is None else seed,
+                          seed=0 if seed is None else seed,
                           h=self.h if h is None else h, grid=self.grid)
 
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .expr import (
-    Add, DomainFault, Expr, ExprError, Jet, Mul, Num, ONE, Param,
+    Add, DomainFault, Expr, Jet, Mul, Num, ONE, Param,
     ParameterBinding, Var,
     ZERO, add, atoms, diff_partial, eval_with_scale, expand, mul, pow_,
     simplify, substitute,
@@ -29,14 +29,6 @@ from .rewrites import (
 )
 from .systems import CheckReport, EquationSystem, aggregate_report, restrict_to_manifold
 from .zerotest import Constraint, ZeroResult, _sym_name, is_zero
-
-ReducedSystem = EquationSystem
-
-
-class UnreducedVariable(ExprError):
-    """A residual kept a bare independent variable that the candidate
-    manifold cannot rewrite and the sampler cannot bound."""
-
 
 def _check_seed(seed: int, i: int) -> int:
     return (seed * 1000003 + i) & 0x7FFFFFFF
@@ -222,7 +214,7 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
     must eliminate (leftover base variables and bare original
     dependents); each coefficient becomes one equation, solved linearly
     for its highest unknown-function derivative.  Returns a
-    ReducedSystem on success and a ReductionFailure otherwise.
+    EquationSystem on success and a ReductionFailure otherwise.
     """
     case = a.name or original.name
     try:
@@ -312,9 +304,9 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
             f"{len(a.phis)} unknown functions", case=case)
 
     equations = sorted(kept_eqs.items(), key=lambda kv: (kv[0].dep, kv[0].index))
-    return ReducedSystem(frame.js, equations,
-                         frame.constraints + tuple(kept_pivots),
-                         name=(a.name + " reduced") if a.name else "reduced")
+    return EquationSystem(frame.js, equations,
+                          frame.constraints + tuple(kept_pivots),
+                          name=(a.name + " reduced") if a.name else "reduced")
 
 
 def systems_equivalent(s1: EquationSystem, s2: EquationSystem, seed: int = 0,

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +152,56 @@ def test_tol_override_recorded(capsys):
 
 def test_usage_error_exit_three(capsys):
     assert main(["frobnicate"]) == 3
+
+
+def test_solution_seed_key_pins_the_seed(capsys, tmp_path):
+    text = (DATA / "eq4.prob").read_text(encoding="utf-8")
+    assert "[solution eq5]\n" in text
+    pinned = tmp_path / "eq4.prob"
+    pinned.write_text(text.replace("[solution eq5]\n",
+                                   "[solution eq5]\nseed 5\n"),
+                      encoding="utf-8")
+    _, out, _ = run(capsys, "verify", str(pinned), "--solution", "eq5",
+                    "--format", "json-lines")
+    row = json.loads(out)
+    _, out, _ = run(capsys, "verify", path("eq4"), "--solution", "eq5",
+                    "--seed", "5", "--format", "json-lines")
+    want = json.loads(out)
+    assert row["seed"] == 5
+    assert row["residual_max"] == want["residual_max"]
+    # without the key the CLI seed applies
+    _, out, _ = run(capsys, "verify", path("eq4"), "--solution", "eq5",
+                    "--seed", "2", "--format", "json-lines")
+    assert json.loads(out)["seed"] == 2
+
+
+def test_paper_suite_fd_reports_error_row_and_runs_the_rest(capsys):
+    _, plain, _ = run(capsys, "paper-suite", "--format", "json-lines")
+    code, out, err = run(capsys, "paper-suite", "--fd",
+                         "--format", "json-lines")
+    assert code == 4
+    rows = [json.loads(ln) for ln in out.splitlines()]
+    assert [r["case"] for r in rows] == \
+        [json.loads(ln)["case"] for ln in plain.splitlines()]
+    errors = [r for r in rows if r["verdict"] == "error"]
+    assert [r["case"] for r in errors] == ["eq4:eq5"]
+    assert "single equation" in errors[0]["detail"]
+
+
+def test_closed_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)          # no reader: the first write fails
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")] +
+        [p for p in [env.get("PYTHONPATH")] if p])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "symred.cli", "paper-suite",
+             "--seed", "0..2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1

@@ -56,6 +56,26 @@ def test_known_function_values():
     assert eval_numeric(func("exp", ZERO)) == pytest.approx(1.0)
 
 
+def test_odd_function_sign_is_canonical_when_both_signs_lead_negative():
+    # -2*x + 3*y and its negation -3*y + 2*x both lead with a negative
+    # term.  Every way of writing the argument must give one Func
+    # argument, and rebuilding a result from its parts must give it back.
+    a = add(mul(Num(-2), x), mul(Num(3), y))
+    b = add(mul(Num(2), x), mul(Num(-3), y))
+    forms = (a, b, Mul((Num(-1), a)), Mul((Num(-1), b)))
+    for name in ("sin", "cos"):
+        args = set()
+        for arg in forms:
+            r = func(name, arg)
+            if isinstance(r, Mul):
+                assert mul(r.factors[0], func(name, r.factors[1].arg)) == r
+                args.add(r.factors[1].arg)
+            else:
+                assert func(name, r.arg) == r
+                args.add(r.arg)
+        assert len(args) == 1
+
+
 def test_exp_ln_composition_preserved():
     # exp(ln x) is kept structurally: the composition carries the x > 0
     # domain restriction, which folding would silently drop
