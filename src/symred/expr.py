@@ -265,6 +265,8 @@ def _split_coeff(term: Expr):
         return term.value, None
     if isinstance(term, Mul) and isinstance(term.factors[0], Num):
         rest = term.factors[1:]
+        if not rest:  # an unnormalized one-factor product of a number
+            return term.factors[0].value, None
         rest_e = rest[0] if len(rest) == 1 else Mul(rest)
         return term.factors[0].value, rest_e
     return Fraction(1), term

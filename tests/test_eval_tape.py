@@ -81,8 +81,14 @@ def build(recipe):
             base, exp = args
             if isinstance(exp, Num):
                 node = (Pow if raw else pow_)(pool[base], _fresh(exp))
-            else:  # a constant folded to a pool exponent could be huge
-                node = Pow(pool[base], pool[exp])
+            else:
+                # A pool constant can be huge (10**400, or folded).  A later
+                # add/mul over this node folds base**exp exactly, which for
+                # such an exponent never finishes, so it is capped at 2.
+                x = pool[exp]
+                if isinstance(x, Num) and abs(x.value) > 2:
+                    x = Num(2)
+                node = Pow(pool[base], x)
         elif kind == "func":
             node = (Func if raw else func)(args[0], pool[args[1]])
         else:
