@@ -8,12 +8,7 @@ from dataclasses import dataclass, field
 from .expr import Expr, Jet, Num, ZERO, add, mul, pow_
 from .jets import CanonicalOperator, JetSpace, VectorField, apply_operator, prolong
 from .systems import CheckReport, EquationSystem, aggregate_report, restrict_to_manifold
-from .zerotest import is_zero
-
-
-def _check_seed(seed: int, i: int) -> int:
-    # each residual owns its own stream so results are order-independent
-    return (seed * 1000003 + i) & 0x7FFFFFFF
+from .zerotest import check_seed, is_zero
 
 
 def check_classical(vf: VectorField, sys: EquationSystem, seed: int = 0,
@@ -28,7 +23,7 @@ def check_classical(vf: VectorField, sys: EquationSystem, seed: int = 0,
     for i, (lhs, rhs) in enumerate(sys.equations):
         res = apply_operator(pf, lhs - rhs)
         res = restrict_to_manifold(res, sys, extra=extra)
-        zr = is_zero(res, sys.constraints, seed=_check_seed(seed, i),
+        zr = is_zero(res, sys.constraints, seed=check_seed(seed, i),
                      tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
         results.append((f"equation {i}", zr))
     return aggregate_report(results, seed, kind="classical", case=sys.name,
@@ -86,7 +81,7 @@ def check_lie_backlund(op: CanonicalOperator, ode: EquationSystem, seed: int = 0
         raise ValueError("leading coordinate must be a pure derivative in one variable")
     res = apply_operator(op, lhs - rhs, js=ode.js)
     res = restrict_to_manifold(res, ode)
-    zr = is_zero(res, ode.constraints, seed=_check_seed(seed, 0),
+    zr = is_zero(res, ode.constraints, seed=check_seed(seed, 0),
                  tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
     return aggregate_report([("equation 0", zr)], seed, kind="lie-backlund",
                             case=ode.name, tol_abs=tol_abs, tol_rel=tol_rel)
@@ -107,15 +102,6 @@ class NoveltyDiagnostic:
     assumptions: tuple = (
         "involutivity of the constraint family is assumed, not verified",
     )
-
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "conclusion": self.conclusion,
-            "verdicts": [(name, rep.verdict) for name, rep in self.verdicts],
-            "assumptions": list(self.assumptions),
-        }
 
 
 def constraint_system(family, js: JetSpace, constraints=()) -> EquationSystem:
@@ -154,7 +140,7 @@ def novelty_diagnostic(algebra, family, t: int, js: JetSpace, seed: int = 0,
         return diag
     csys = constraint_system(family, js, constraints)
     for i, op in enumerate(algebra):
-        rep = check_classical(op, csys, seed=_check_seed(seed, 100 + i),
+        rep = check_classical(op, csys, seed=check_seed(seed, 100 + i),
                               binding=binding)
         diag.verdicts.append((op.name or f"operator {i}", rep))
     diag.conclusion = s >= t + 1 and all(rep.passed for _, rep in diag.verdicts)

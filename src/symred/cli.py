@@ -81,12 +81,22 @@ def _from_check_report(case: str, rep, expect: str = "") -> dict:
                    expect=expect)
 
 
+def _checked(case: str, kind: str, seed: int, tol: float | None,
+             expect: str, check, *args, **kw) -> dict:
+    """One entry's row from ``check(*args, seed=seed, **kw)``: ``tol``
+    overrides both tolerances, and a runtime fault becomes an ``error``
+    row."""
+    if tol is not None:
+        kw.update(tol_abs=tol, tol_rel=tol)
+    try:
+        rep = check(*args, seed=seed, **kw)
+    except ENTRY_FAULTS as exc:
+        return _error_record(case, kind, seed, tol, exc, expect)
+    return _from_check_report(case, rep, expect)
+
+
 def _run_operator(bundle: ProblemBundle, entry, seed: int,
                   tol: float | None, mode: str = "", expect: str = "") -> dict:
-    sys_ = bundle.equations[entry.on]
-    kw = {}
-    if tol is not None:
-        kw = {"tol_abs": tol, "tol_rel": tol}
     mode = mode or entry.mode
     if isinstance(entry.operator, CanonicalOperator) or mode == "lb":
         kind, check = "lie-backlund", check_lie_backlund
@@ -94,12 +104,8 @@ def _run_operator(bundle: ProblemBundle, entry, seed: int,
         kind, check = "conditional", check_conditional
     else:
         kind, check = "classical", check_classical
-    case = f"{bundle.name}:{entry.name}"
-    try:
-        rep = check(entry.operator, sys_, seed=seed, **kw)
-    except ENTRY_FAULTS as exc:
-        return _error_record(case, kind, seed, tol, exc, expect)
-    return _from_check_report(case, rep, expect)
+    return _checked(f"{bundle.name}:{entry.name}", kind, seed, tol, expect,
+                    check, entry.operator, bundle.equations[entry.on])
 
 
 def _run_reduce(bundle: ProblemBundle, entry, candidate: str, seed: int,
@@ -108,22 +114,13 @@ def _run_reduce(bundle: ProblemBundle, entry, candidate: str, seed: int,
     if not entry.original:
         raise UsageFault(f"ansatz {entry.name!r} names no original equation")
     original = bundle.equations[entry.original]
-    kw = {}
-    if tol is not None:
-        kw = {"tol_abs": tol, "tol_rel": tol}
     records = []
     if candidate:
         if candidate not in bundle.reduced:
             raise UsageFault(f"unknown reduced system {candidate!r}")
-        case = f"{bundle.name}:{entry.name}->{candidate}"
-        try:
-            rep = verify_reduction(entry.ansatz, original,
-                                   bundle.reduced[candidate], seed=seed, **kw)
-        except ENTRY_FAULTS as exc:
-            records.append(_error_record(case, "reduction", seed, tol, exc,
-                                         expect))
-        else:
-            records.append(_from_check_report(case, rep, expect))
+        records.append(_checked(f"{bundle.name}:{entry.name}->{candidate}",
+                                "reduction", seed, tol, expect, verify_reduction,
+                                entry.ansatz, original, bundle.reduced[candidate]))
     else:
         case = f"{bundle.name}:{entry.name}:derive"
         try:
@@ -198,30 +195,16 @@ def _run_solution(bundle: ProblemBundle, spec, seed: int, tol: float | None,
 
 def _run_backlund(bundle: ProblemBundle, entry, seed: int,
                   tol: float | None, expect: str = "") -> dict:
-    kw = {}
-    if tol is not None:
-        kw = {"tol_abs": tol, "tol_rel": tol}
-    case = f"{bundle.name}:{entry.name}"
-    try:
-        rep = verify_backlund(entry.relation, seed=seed, **kw)
-    except ENTRY_FAULTS as exc:
-        return _error_record(case, "backlund", seed, tol, exc, expect)
-    return _from_check_report(case, rep, expect)
+    return _checked(f"{bundle.name}:{entry.name}", "backlund", seed, tol,
+                    expect, verify_backlund, entry.relation)
 
 
 def _run_overdetermined(bundle: ProblemBundle, spec, seed: int,
                         tol: float | None, expect: str = "") -> dict:
-    kw = {}
-    if tol is not None:
-        kw = {"tol_abs": tol, "tol_rel": tol}
-    case = f"{bundle.name}:{spec.name}"
-    try:
-        rep = check_overdetermined(spec.assignments, bundle.space, seed=seed,
-                                   constraints=spec.constraints, box=spec.box,
-                                   n=spec.n, **kw)
-    except ENTRY_FAULTS as exc:
-        return _error_record(case, "overdetermined", seed, tol, exc, expect)
-    return _from_check_report(case, rep, expect)
+    return _checked(f"{bundle.name}:{spec.name}", "overdetermined", seed, tol,
+                    expect, check_overdetermined, spec.assignments,
+                    bundle.space, constraints=spec.constraints, box=spec.box,
+                    n=spec.n)
 
 
 # -- output -----------------------------------------------------------------
@@ -464,16 +447,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_FAIL
-    except UsageFault as e:
-        print(f"symred: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ParseError as e:
         print(f"symred: parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ExprError as e:
-        print(f"symred: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (UsageFault, ExprError, ValueError) as e:
         print(f"symred: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -363,6 +363,20 @@ def mul(*factors) -> Expr:
     return Mul(tuple(out))
 
 
+# An integer power of a rational folds exactly only while this bounds
+# the bits of its numerator and denominator; larger powers (3^(10^8) in
+# an input bundle) stay symbolic instead of taking unbounded time and
+# memory.
+MAX_FOLD_BITS = 65536
+
+
+def _folds(b: Fraction, n: int) -> bool:
+    if abs(b) == 1 or b == 0:
+        return True
+    return abs(n) * max(b.numerator.bit_length(), b.denominator.bit_length()) \
+        <= MAX_FOLD_BITS
+
+
 def pow_(base, exp) -> Expr:
     base = _coerce(base)
     exp = _coerce(exp)
@@ -376,7 +390,8 @@ def pow_(base, exp) -> Expr:
                 n = int(exp.value)
                 if base.value == 0 and n < 0:
                     return Pow(base, exp)  # kept symbolic; eval faults
-                return Num(base.value ** n)
+                if _folds(base.value, n):
+                    return Num(base.value ** n)
             if base.value == 1:
                 return ONE
             if base.value == 0 and exp.value > 0:

@@ -13,7 +13,7 @@ from .expr import (
     Var, atoms, eval_numeric, eval_with_scale,
 )
 from .systems import EquationSystem, restrict_to_manifold
-from .zerotest import Constraint
+from .zerotest import Constraint, sample_point
 
 
 class NoConvergence(ExprError):
@@ -285,24 +285,14 @@ class SamplePlan:
 @dataclass
 class ResidualReport:
     max_residual: float
-    points: list
     skipped: int
     total: int
     seed: int
-    kind: str = ""
-    case: str = ""
-    inconclusive: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "kind": self.kind,
-            "verdict": "inconclusive" if self.inconclusive else "computed",
-            "residual_max": self.max_residual,
-            "seed": self.seed,
-            "skipped": self.skipped,
-            "total": self.total,
-        }
+    @property
+    def inconclusive(self) -> bool:
+        """Nothing was tested, or more than a fifth of the points skipped."""
+        return self.total == 0 or self.skipped > 0.2 * self.total
 
 
 def _plan_points(plan: SamplePlan, vars_, constraints=(), binding=None):
@@ -327,17 +317,12 @@ def _plan_points(plan: SamplePlan, vars_, constraints=(), binding=None):
     rng = random.Random(plan.seed)
     pts = []
     budget = plan.retry_budget
-    while len(pts) < plan.n and budget > 0:
-        p = {}
-        for v in vars_:
-            lo, hi = plan.box.get(v.name, (-2.0, 2.0))
-            p[v] = rng.uniform(lo, hi)
-        budget -= 1
-        try:
-            if all(c.holds(p, binding) for c in constraints):
-                pts.append(p)
-        except DomainFault:
-            continue
+    while len(pts) < plan.n:
+        p, used = sample_point(vars_, constraints, rng, binding, plan.box, budget)
+        budget -= used
+        if p is None:
+            break
+        pts.append(p)
     return pts
 
 
@@ -359,7 +344,6 @@ def residual_explicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
         Constraint(restrict_to_manifold(c.expr, sub_sys), c.rel)
         for c in tuple(eq.constraints) + tuple(sol.constraints))
     pts = _plan_points(plan, vars_, constraints, binding)
-    rows = []
     skipped = 0
     worst = 0.0
     for p in pts:
@@ -370,11 +354,7 @@ def residual_explicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
             continue
         m = max(abs(v) for v in vals)
         worst = max(worst, m)
-        rows.append(({k.name: v for k, v in p.items()}, m))
-    total = len(pts)
-    return ResidualReport(worst, rows, skipped, total, plan.seed,
-                          kind="residual-explicit", case=sol.name or eq.name,
-                          inconclusive=total == 0 or skipped > 0.2 * total)
+    return ResidualReport(worst, skipped, len(pts), plan.seed)
 
 
 def _solve_solution_at(sol: SolutionForm, point, binding) -> float:
@@ -428,7 +408,6 @@ def residual_implicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
                       if not atoms(c.expr, Jet))
     pts = _plan_points(plan, base_vars, samplable, binding)
     h = plan.h
-    rows = []
     skipped = 0
     worst = 0.0
     for p in pts:
@@ -459,8 +438,4 @@ def residual_implicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
             skipped += 1
             continue
         worst = max(worst, abs(val))
-        rows.append(({k.name: v for k, v in p.items()}, abs(val)))
-    total_pts = len(pts)
-    return ResidualReport(worst, rows, skipped, total_pts, plan.seed,
-                          kind="residual-implicit", case=sol.name or eq.name,
-                          inconclusive=total_pts == 0 or skipped > 0.2 * total_pts)
+    return ResidualReport(worst, skipped, len(pts), plan.seed)

@@ -25,13 +25,13 @@ from .jets import JetSpace, total_derivative
 from .linalg import SingularImplicitSystem, gaussian_eliminate
 from .numeric import NoConvergence, newton_system
 from .rewrites import (
-    assume_positive, expand_trig, reduce_even_cosines, sqrt_pythagoras,
+    _touches, assume_positive, expand_trig, reduce_even_cosines, sqrt_pythagoras,
 )
 from .systems import CheckReport, EquationSystem, aggregate_report, restrict_to_manifold
-from .zerotest import Constraint, ZeroResult, _sym_name, is_zero
-
-def _check_seed(seed: int, i: int) -> int:
-    return (seed * 1000003 + i) & 0x7FFFFFFF
+from .zerotest import (
+    Constraint, ZeroResult, _sym_name, check_seed, free_numeric_symbols,
+    is_zero, sample_point,
+)
 
 
 @dataclass(frozen=True)
@@ -113,18 +113,17 @@ def ansatz_derivatives(a: Ansatz) -> AnsatzFrame:
     return AnsatzFrame(full_js, system, tuple(constraints), chains)
 
 
-def _compat_residuals(a: Ansatz, frame: AnsatzFrame):
-    """Cross-derivative compatibility residuals among first-order targets
-    of the same dependent: D_j R_i - D_i R_j."""
+def _compat_residuals(rules, js: JetSpace):
+    """Cross-derivative compatibility residuals among first-order rules
+    (Jet, Expr) of the same dependent: D_j R_i - D_i R_j."""
     by_dep: dict = {}
-    for lhs, rhs in a.targets:
+    for lhs, rhs in rules:
         if lhs.order == 1 and len(lhs.index) == 1:
             by_dep.setdefault(lhs.dep, []).append((lhs.index[0][0], rhs))
     out = []
     for dep in sorted(by_dep):
-        rules = sorted(by_dep[dep])
-        for (xi, ri), (xj, rj) in itertools.combinations(rules, 2):
-            r = total_derivative(ri, xj, frame.js) - total_derivative(rj, xi, frame.js)
+        for (xi, ri), (xj, rj) in itertools.combinations(sorted(by_dep[dep]), 2):
+            r = total_derivative(ri, xj, js) - total_derivative(rj, xi, js)
             out.append((f"compatibility {dep} ({xi},{xj})", r))
     return out
 
@@ -144,12 +143,12 @@ def verify_reduction(a: Ansatz, original: EquationSystem,
         tuple(candidate.constraints)
     labelled = [(f"equation {i}", lhs - rhs)
                 for i, (lhs, rhs) in enumerate(original.equations)]
-    labelled += _compat_residuals(a, frame)
+    labelled += _compat_residuals(a.targets, frame.js)
     results = []
     for i, (label, r) in enumerate(labelled):
         r = restrict_to_manifold(r, frame.system)
         r = restrict_to_manifold(r, cand)
-        zr = is_zero(r, constraints, seed=_check_seed(seed, i),
+        zr = is_zero(r, constraints, seed=check_seed(seed, i),
                      tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
         results.append((label, zr))
     return aggregate_report(results, seed, kind="reduction",
@@ -164,19 +163,6 @@ class ReductionFailure:
     reason: str
     offending: Expr | None = None
     case: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "kind": "derive-reduction",
-            "verdict": "fail",
-            "reason": self.reason,
-            "offending": repr(self.offending) if self.offending is not None else None,
-        }
-
-
-def _touches(e: Expr, syms) -> bool:
-    return bool(atoms(e) & syms)
 
 
 def _coefficient_split(r: Expr, elim):
@@ -230,7 +216,7 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
     orig_deps = set(a.js.dependents)
 
     residuals = [lhs - rhs for lhs, rhs in original.equations]
-    residuals += [r for _, r in _compat_residuals(a, frame)]
+    residuals += [r for _, r in _compat_residuals(a.targets, frame.js)]
 
     solved: list = []  # (lead, rhs, pivot)
     for r in residuals:
@@ -285,7 +271,7 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
             if kept_eqs[lead] == rhs:
                 continue
             zr = is_zero(kept_eqs[lead] - rhs, frame.constraints,
-                         seed=_check_seed(seed, 500 + i), binding=binding)
+                         seed=check_seed(seed, 500 + i), binding=binding)
             if zr.is_zero:
                 continue
             return ReductionFailure(
@@ -324,7 +310,7 @@ def systems_equivalent(s1: EquationSystem, s2: EquationSystem, seed: int = 0,
         results.append(("leading coordinates differ", zr))
     else:
         for i, lead in enumerate(sorted(e1, key=lambda j: (j.dep, j.index))):
-            zr = is_zero(e1[lead] - e2[lead], cs, seed=_check_seed(seed, i),
+            zr = is_zero(e1[lead] - e2[lead], cs, seed=check_seed(seed, i),
                          tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
             results.append((_sym_name(lead), zr))
     return aggregate_report(results, seed, kind="system-equivalence",
@@ -359,21 +345,13 @@ def verify_backlund(bt: BacklundRelation, seed: int = 0,
                             bt.source.name)
     constraints = tuple(bt.constraints) + tuple(source.constraints) + \
         tuple(bt.target.constraints)
-    labelled = []
-    by_dep: dict = {}
-    for lhs, rhs in bt.relations:
-        if lhs.order == 1 and len(lhs.index) == 1:
-            by_dep.setdefault(lhs.dep, []).append((lhs.index[0][0], rhs))
-    for dep in sorted(by_dep):
-        for (xi, ri), (xj, rj) in itertools.combinations(sorted(by_dep[dep]), 2):
-            r = total_derivative(ri, xj, bt.js) - total_derivative(rj, xi, bt.js)
-            labelled.append((f"compatibility {dep} ({xi},{xj})", r))
+    labelled = _compat_residuals(bt.relations, bt.js)
     for i, (lhs, rhs) in enumerate(bt.target.equations):
         labelled.append((f"target equation {i}", lhs - rhs))
     results = []
     for i, (label, r) in enumerate(labelled):
         r = restrict_to_manifold(r, source, extra=bt.relations)
-        zr = is_zero(r, constraints, seed=_check_seed(seed, i),
+        zr = is_zero(r, constraints, seed=check_seed(seed, i),
                      tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
         results.append((label, zr))
     return aggregate_report(results, seed, kind="backlund", case=bt.name,
@@ -438,35 +416,23 @@ def check_overdetermined(assignments, js: JetSpace, seed: int = 0,
     first_jets = set(j for j, _ in assignments)
     results = []
     for i, lo in enumerate(leftovers):
-        rng = random.Random(_check_seed(seed, i))
-        free = [s for s in sorted(atoms(lo), key=_sym_name)
-                if not (isinstance(s, Jet) and s in first_jets)
-                and not (isinstance(s, Param) and s.name in binding.params)]
+        rng = random.Random(check_seed(seed, i))
+        free = [s for s in free_numeric_symbols(lo, binding) if s not in first_jets]
         for _, rhs in assignments:
-            for s in sorted(atoms(rhs), key=_sym_name):
-                if isinstance(s, Jet) and s in first_jets:
-                    continue
-                if isinstance(s, Param) and s.name in binding.params:
-                    continue
-                if s not in free:
+            for s in free_numeric_symbols(rhs, binding):
+                if s not in first_jets and s not in free:
                     free.append(s)
         tested = 0
         budget = 256
         verdict = None
         witness = None
         witness_value = 0.0
-        box = box or {}
-        while tested < n and budget > 0:
-            point = {}
-            for s in free:
-                lo_hi = box.get(_sym_name(s), (0.2, 2.0))
-                point[s] = rng.uniform(*lo_hi)
-            budget -= 1
-            try:
-                if not all(c.holds(point, binding) for c in constraints):
-                    continue
-            except DomainFault:
-                continue
+        while tested < n:
+            point, used = sample_point(free, constraints, rng, binding, box, budget,
+                                       default_box=(0.2, 2.0))
+            budget -= used
+            if point is None:
+                break
             derivs = _solve_first_derivatives(assignments, point, binding, rng)
             if derivs is None:
                 continue

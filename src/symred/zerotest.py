@@ -12,11 +12,11 @@ survive while structural mutants are caught.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .expr import (
     DomainFault, Expr, Jet, Num, Param, ParameterBinding, OpaqueInstance,
-    UnboundSymbol, Var, atoms, eval_with_scale, opaque_names, simplify,
+    atoms, eval_with_scale, opaque_names, simplify,
 )
 
 ZERO_VERDICT = "zero"
@@ -69,21 +69,31 @@ def _random_opaque(rng: random.Random) -> OpaqueInstance:
     return OpaqueInstance.from_polynomial(coeffs)
 
 
+def check_seed(seed: int, i: int) -> int:
+    """Seed of the i-th residual of a check: each residual owns its own
+    stream, so results do not depend on the order of the residuals."""
+    return (seed * 1000003 + i) & 0x7FFFFFFF
+
+
 def sample_point(symbols, constraints, rng: random.Random,
-                 binding: ParameterBinding, box=None, retry_budget: int = 1024):
+                 binding: ParameterBinding, box=None, retry_budget: int = 1024,
+                 default_box=(-2.0, 2.0)):
     """One in-domain random point, or None when the budget runs out.
 
-    Returns (point, draws_used)."""
+    Each draw takes one ``rng.uniform`` per symbol, in order, from the
+    symbol's ``box`` entry (keyed by name) or ``default_box``.  A draw is
+    rejected when a constraint fails or raises DomainFault; an
+    UnboundSymbol propagates.  Returns (point, draws_used)."""
     box = box or {}
     for attempt in range(1, retry_budget + 1):
         point = {}
         for s in symbols:
-            lo, hi = box.get(getattr(s, "name", None) or _sym_name(s), (-2.0, 2.0))
+            lo, hi = box.get(_sym_name(s), default_box)
             point[s] = rng.uniform(lo, hi)
         try:
             if all(c.holds(point, binding) for c in constraints):
                 return point, attempt
-        except (DomainFault, UnboundSymbol):
+        except DomainFault:
             continue
     return None, retry_budget
 

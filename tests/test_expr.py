@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from symred.expr import (
     diff_partial, eval_numeric, expand, func, mul, opaque, pow_, simplify,
     substitute,
 )
+from symred.parser import SymbolContext, parse_expression
 
 x = Var("x")
 y = Var("y")
@@ -43,6 +48,28 @@ def test_pow_zero_base():
     assert pow_(ZERO, Num(3)) == ZERO
     # 0^0 is taken to be 1 by convention
     assert pow_(ZERO, ZERO) == ONE
+
+
+def test_pow_keeps_huge_constant_powers_symbolic():
+    # folding 3^(10^8) exactly would not finish, so the parse runs in a
+    # child process with a time limit
+    code = ("from symred.parser import SymbolContext, parse_expression\n"
+            "print(parse_expression('3^(10^8)', SymbolContext()))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")] +
+        [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "3^100000000"
+    ctx = SymbolContext()
+    assert parse_expression("2^10", ctx) == Num(1024)
+    assert parse_expression("(2/3)^-3", ctx) == Num(Fraction(27, 8))
+    assert pow_(Num(-1), Num(10 ** 8 + 1)) == Num(-1)
+    assert pow_(ONE, Num(10 ** 9)) == ONE
+    assert pow_(ZERO, Num(10 ** 9)) == ZERO
+    assert isinstance(pow_(Num(2), Num(10 ** 8)), Pow)
 
 
 def test_num_keeps_exact_rationals():

@@ -131,6 +131,21 @@ def test_report_tracks_skips():
     assert rep.inconclusive  # every point faults on ln of a negative
 
 
+def test_explicit_report_counts_pinned(bundles):
+    b = bundles["eq4"]
+    spec = b.solutions["eq5"]
+    sys_ = b.system(spec.of)
+    form = spec.make_form(sys_.js.dependents)
+    rep = residual_explicit(form, sys_, spec.make_plan(seed=3),
+                            spec.make_binding())
+    assert (rep.total, rep.skipped) == (64, 0)
+    # the solution's constraint fails for w < -ln 2: on a widened box
+    # draws are rejected and the budget of 100 runs out at 60 points
+    plan = SamplePlan(box={"w": (-3.0, 2.0)}, n=64, seed=3, retry_budget=100)
+    rep = residual_explicit(form, sys_, plan, spec.make_binding())
+    assert (rep.total, rep.skipped) == (60, 0)
+
+
 def test_grid_plan_point_count():
     js, sys_ = decay_system()
     sol = SolutionForm(kind="explicit",

@@ -153,6 +153,37 @@ def test_overdetermined_trivial_incompatible():
     pair = [(js.jet("u", "x1"), Var("x2")), (js.jet("u", "x2"), ZERO)]
     rep = check_overdetermined(pair, js)
     assert rep.verdict == "fail"
+    # the first draw, from the default box 0.2 .. 2 at seed 0
+    assert rep.witness["x2"] == 1.7199593327450866
+    assert rep.witness["u[x1]"] == pytest.approx(1.7199593327450866, rel=1e-12)
+    assert rep.entries[0]["points_tested"] == 1
+
+
+def test_overdetermined_seed_stream_pinned(bundles):
+    # exact counts and witness of the bundled pair at seed 0; a change to
+    # the draw order or the budget accounting shows here
+    b = bundles["eq2"]
+    spec = b.overdetermined["pairAfter5"]
+
+    def run(pair):
+        return check_overdetermined(pair, b.space, seed=0,
+                                    constraints=spec.constraints,
+                                    box=spec.box, n=spec.n)
+
+    rep = run(spec.assignments)
+    assert [(e["verdict"], e["points_tested"]) for e in rep.entries] == \
+        [("zero", 32)]
+    (l1, r1), (l2, r2) = spec.assignments
+    rep = run(((l1, r1), (l2, Num(-1) * r2)))
+    assert rep.verdict == "fail"
+    assert rep.entries[0]["points_tested"] == 1
+    witness = dict(rep.witness)
+    solved = {k: witness.pop(k) for k in ("u[x1]", "u[x2]")}
+    assert witness == {"C": 0.7066531109150289, "C1": 2.636931604410454,
+                       "alpha": 0.920571580830845, "x1": 0.888375125439445,
+                       "x2": 0.5112747213686085}
+    assert solved == pytest.approx({"u[x1]": 1.297077256155803,
+                                    "u[x2]": -0.4279949454274665}, rel=1e-9)
 
 
 def test_overdetermined_separated_compatible():

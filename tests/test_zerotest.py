@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from symred.expr import (
-    Jet, Num, Param, ParameterBinding, Var, func, opaque, pow_,
+    Jet, Num, Param, ParameterBinding, UnboundSymbol, Var, func, opaque, pow_,
 )
-from symred.zerotest import Constraint, is_zero
+from symred.zerotest import Constraint, is_zero, sample_point
 
 x = Var("x")
 y = Var("y")
@@ -88,3 +90,43 @@ def test_tolerance_scales_with_magnitude():
     big = Num(10) ** 12
     e = (x + big) - big - x
     assert is_zero(e, seed=0).is_zero
+
+
+def test_sample_point_seed_stream():
+    # every seeded verdict rests on this stream: one uniform per symbol,
+    # in the given order, from the symbol's box or the default box; a
+    # rejected draw still counts against the budget
+    c = (Constraint(y - Num(1), ">"),)
+    box = {"x": (0.5, 1.5)}
+    for kw, default_box in (({}, (-2.0, 2.0)),
+                            ({"default_box": (0.2, 2.0)}, (0.2, 2.0))):
+        rng = random.Random(7)
+        point, used = sample_point([x, y], c, rng, ParameterBinding(), box, **kw)
+        ref = random.Random(7)
+        draws = 0
+        while True:
+            draws += 1
+            want = {x: ref.uniform(0.5, 1.5), y: ref.uniform(*default_box)}
+            if want[y] > 1:
+                break
+        assert draws > 1
+        assert (point, used) == (want, draws)
+        assert rng.random() == ref.random()
+
+
+def test_sample_point_rejects_domain_faults_propagates_unbound():
+    # ln faults on the whole box: every draw is rejected, none is fatal,
+    # and the budget runs out after exactly that many draws
+    faulty = (Constraint(func("ln", x), ">"),)
+    rng = random.Random(0)
+    point, used = sample_point([x], faulty, rng, ParameterBinding(),
+                               {"x": (-2.0, -1.0)}, retry_budget=5)
+    assert (point, used) == (None, 5)
+    ref = random.Random(0)
+    for _ in range(5):
+        ref.uniform(-2.0, -1.0)
+    assert rng.random() == ref.random()
+    # an unbound parameter is a fault of the input, not of the draw
+    unbound = (Constraint(x - Param("k"), ">"),)
+    with pytest.raises(UnboundSymbol):
+        sample_point([x], unbound, random.Random(0), ParameterBinding())
