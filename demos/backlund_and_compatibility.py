@@ -23,8 +23,8 @@ def main():
     for name in ("eq18", "eq18doubled"):
         rep = verify_backlund(sg.backlunds[name].relation)
         print(f"  {name:15s} -> {rep.verdict}")
-        for entry in rep.entries:
-            print(f"    {entry['label']:30s} {entry['verdict']}")
+        for part in rep.parts:
+            print(f"    {part.label:30s} {part.verdict}")
 
     eq2 = load("eq2")
     spec = eq2.overdetermined["pairAfter5"]

@@ -11,8 +11,9 @@ from importlib import resources
 
 from symred.parser import print_equation
 from symred.problems import parse_problem
-from symred.reduce import ReductionFailure, derive_reduction, \
-    systems_equivalent, verify_reduction
+from symred.reduce import derive_reduction, systems_equivalent, \
+    verify_reduction
+from symred.zerotest import Result
 
 
 def load(name):
@@ -32,8 +33,8 @@ def run_case(bundle, ansatz_name):
     if not entry.derive:
         return
     out = derive_reduction(entry.ansatz, original)
-    if isinstance(out, ReductionFailure):
-        print(f"  derivation failed: {out.reason}")
+    if isinstance(out, Result):
+        print(f"  derivation failed: {out.detail}")
         return
     print("  derived system:")
     for lhs, rhs in out.equations:
@@ -53,8 +54,8 @@ def main():
     eq2 = load("eq2")
     entry = eq2.ansatzes["degenerate"]
     out = derive_reduction(entry.ansatz, eq2.equations[entry.original])
-    assert isinstance(out, ReductionFailure)
-    print(f"eq2: ansatz degenerate -> Failure ({out.reason})")
+    assert isinstance(out, Result)
+    print(f"eq2: ansatz degenerate -> Failure ({out.detail})")
 
 
 if __name__ == "__main__":

@@ -23,16 +23,13 @@ def run(bundle, sname):
     form = spec.make_form(sys_.js.dependents)
     plan = spec.make_plan()
     binding = spec.make_binding()
-    if spec.kind == "implicit":
-        rep = residual_implicit(form, sys_, plan, binding)
-    else:
-        rep = residual_explicit(form, sys_, plan, binding)
-    tol = spec.tol if spec.tol is not None else 1e-9
-    verdict = "inconclusive" if rep.inconclusive else \
-        ("pass" if rep.max_residual < tol else "fail")
-    print(f"  {bundle.name}:{sname:15s} max residual {rep.max_residual:.3g} "
-          f"(tol {tol:g}, {rep.total - rep.skipped}/{rep.total} points) "
-          f"-> {verdict}")
+    residual = residual_implicit if spec.kind == "implicit" else residual_explicit
+    # tol=None takes the path's default tolerance
+    rep = residual(form, sys_, plan, binding, tol=spec.tol)
+    total = rep.points_tested + rep.points_skipped
+    print(f"  {bundle.name}:{sname:15s} max residual {rep.witness_value:.3g} "
+          f"(tol {rep.tol_abs:g}, {rep.points_tested}/{total} points) "
+          f"-> {rep.verdict}")
 
 
 def main():

@@ -11,27 +11,25 @@ from .expr import (
     Var, add, atoms, diff_partial, eval_numeric, expand, func, mul, opaque,
     pow_, simplify, substitute,
 )
-from .zerotest import Constraint, ZeroResult, is_zero
+from .zerotest import Constraint, Result, is_zero
 from .jets import (
     CanonicalOperator, InsufficientProlongationOrder, JetSpace, ProlongedField,
     VectorField, apply_operator, prolong, total_derivative,
     total_derivative_multi,
 )
-from .systems import (
-    CheckReport, ConflictingConstraints, EquationSystem, restrict_to_manifold,
-)
+from .systems import ConflictingConstraints, EquationSystem, restrict_to_manifold
 from .checks import (
     NoveltyDiagnostic, check_classical, check_conditional, check_lie_backlund,
     constraint_system, invariant_surface_conditions, novelty_diagnostic,
 )
 from .linalg import SingularImplicitSystem, gaussian_eliminate
 from .reduce import (
-    Ansatz, AnsatzFrame, BacklundRelation, ReductionFailure,
-    ansatz_derivatives, check_overdetermined, derive_reduction,
-    systems_equivalent, verify_backlund, verify_reduction,
+    Ansatz, AnsatzFrame, BacklundRelation, ansatz_derivatives,
+    check_overdetermined, derive_reduction, systems_equivalent,
+    verify_backlund, verify_reduction,
 )
 from .numeric import (
-    NoConvergence, ResidualReport, SamplePlan, SolutionForm, ToleranceNotMet,
+    NoConvergence, SamplePlan, SolutionForm, ToleranceNotMet,
     newton_system, quadrature, quadrature_instance, residual_explicit,
     residual_implicit, solve_implicit,
 )

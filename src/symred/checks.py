@@ -7,13 +7,13 @@ from dataclasses import dataclass, field
 
 from .expr import Expr, Jet, Num, ZERO, add, mul, pow_
 from .jets import CanonicalOperator, JetSpace, VectorField, apply_operator, prolong
-from .systems import CheckReport, EquationSystem, aggregate_report, restrict_to_manifold
-from .zerotest import check_seed, is_zero
+from .systems import EquationSystem, restrict_to_manifold
+from .zerotest import Result, check_seed, combine, is_zero
 
 
 def check_classical(vf: VectorField, sys: EquationSystem, seed: int = 0,
                     extra=(), tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                    binding=None, assumptions=()) -> CheckReport:
+                    binding=None) -> Result:
     """Apply the prolonged field to each equation, restrict to the
     manifold (with consequences), zero-test.  Pass iff all residuals
     vanish."""
@@ -26,8 +26,7 @@ def check_classical(vf: VectorField, sys: EquationSystem, seed: int = 0,
         zr = is_zero(res, sys.constraints, seed=check_seed(seed, i),
                      tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
         results.append((f"equation {i}", zr))
-    return aggregate_report(results, seed, kind="classical", case=sys.name,
-                            tol_abs=tol_abs, tol_rel=tol_rel, assumptions=assumptions)
+    return combine(results, seed, tol_abs, tol_rel)
 
 
 def invariant_surface_conditions(vf: VectorField, js: JetSpace):
@@ -59,19 +58,17 @@ def invariant_surface_conditions(vf: VectorField, js: JetSpace):
 
 def check_conditional(vf: VectorField, sys: EquationSystem, seed: int = 0,
                       tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                      binding=None) -> CheckReport:
+                      binding=None) -> Result:
     """As check_classical, but the manifold also carries the operator's
     own invariant-surface conditions and their consequences."""
     extras = invariant_surface_conditions(vf, sys.js)
-    rep = check_classical(vf, sys, seed=seed, extra=extras,
-                          tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
-    rep.kind = "conditional"
-    return rep
+    return check_classical(vf, sys, seed=seed, extra=extras,
+                           tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
 
 
 def check_lie_backlund(op: CanonicalOperator, ode: EquationSystem, seed: int = 0,
                        tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                       binding=None) -> CheckReport:
+                       binding=None) -> Result:
     """Lie-Backlund invariance of a single solved-form ODE, restricted to
     the ODE manifold including mixed-variable differential consequences."""
     if len(ode.equations) != 1:
@@ -83,8 +80,7 @@ def check_lie_backlund(op: CanonicalOperator, ode: EquationSystem, seed: int = 0
     res = restrict_to_manifold(res, ode)
     zr = is_zero(res, ode.constraints, seed=check_seed(seed, 0),
                  tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
-    return aggregate_report([("equation 0", zr)], seed, kind="lie-backlund",
-                            case=ode.name, tol_abs=tol_abs, tol_rel=tol_rel)
+    return combine([("equation 0", zr)], seed, tol_abs, tol_rel)
 
 
 @dataclass
@@ -97,7 +93,7 @@ class NoveltyDiagnostic:
 
     s: int
     t: int
-    verdicts: list = field(default_factory=list)  # (operator name, CheckReport)
+    verdicts: list = field(default_factory=list)  # (operator name, Result)
     conclusion: bool = False
     assumptions: tuple = (
         "involutivity of the constraint family is assumed, not verified",

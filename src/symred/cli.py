@@ -4,10 +4,19 @@ Exit codes: 0 all checks pass, 1 any failure, 2 inconclusive,
 3 usage or parse errors, 4 a check stopped on a runtime error.  A
 runtime error (``ExprError`` or ``ValueError``) while checking one entry
 becomes that entry's row, with verdict ``error`` and the message in
-``detail``; the other entries still run.  Every result line carries the
-seed and the tolerances it was computed with; machine output is
-JSON-lines with a stable schema {case, kind, verdict, residual_max,
-seed, tolerances, provenance}.
+``detail``; the other entries still run.
+
+Every verdict function returns one ``zerotest.Result`` record, and
+``_row`` turns it into the entry's row: ``verdict``; ``residual_max``,
+the |residual| the verdict rests on (``witness_value``); ``seed`` and
+``tolerances`` {abs, rel}, the ones the verdict was computed with;
+``provenance``; ``case`` and ``kind``, which this module supplies.  Two
+keys are optional: ``expect`` with ``ok`` (whether the verdict matches
+it) when the entry declares an expectation, and ``detail`` when the
+record has one (a derivation's failure reason, a solution's skipped
+points, a runtime error).  Text output prints one line per row;
+``--format json-lines`` prints each row as a JSON object with sorted
+keys.
 """
 
 from __future__ import annotations
@@ -25,10 +34,12 @@ from .jets import CanonicalOperator
 from .parser import ParseError, print_equation
 from .problems import ProblemBundle, load_problem
 from .reduce import (
-    ReductionFailure, check_overdetermined, derive_reduction,
-    systems_equivalent, verify_backlund, verify_reduction,
+    check_overdetermined, derive_reduction, systems_equivalent,
+    verify_backlund, verify_reduction,
 )
 from .numeric import residual_explicit, residual_implicit
+from .systems import EquationSystem
+from .zerotest import PASS, Result
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -39,60 +50,47 @@ EXIT_ERROR = 4
 # runtime faults of one entry's check, reported as that entry's row
 ENTRY_FAULTS = (ExprError, ValueError)
 
-DEFAULT_EXPLICIT_TOL = 1e-9
-DEFAULT_IMPLICIT_TOL = 1e-4
+# tolerance of every zero-test unless --tol overrides it
+DEFAULT_TOL = 1e-9
 
 
 class UsageFault(Exception):
     pass
 
 
-def _record(case: str, kind: str, verdict: str, residual_max: float,
-            seed: int, tol_abs: float, tol_rel: float, provenance: str,
-            expect: str = "", detail: str = "") -> dict:
-    rec = {
+def _row(case: str, kind: str, rec: Result, expect: str = "") -> dict:
+    row = {
         "case": case,
         "kind": kind,
-        "verdict": verdict,
-        "residual_max": residual_max,
-        "seed": seed,
-        "tolerances": {"abs": tol_abs, "rel": tol_rel},
-        "provenance": provenance,
+        "verdict": rec.verdict,
+        "residual_max": abs(rec.witness_value),
+        "seed": rec.seed,
+        "tolerances": {"abs": rec.tol_abs, "rel": rec.tol_rel},
+        "provenance": rec.provenance,
     }
     if expect:
-        rec["expect"] = expect
-        rec["ok"] = (verdict == expect)
-    if detail:
-        rec["detail"] = detail
-    return rec
+        row["expect"] = expect
+        row["ok"] = (rec.verdict == expect)
+    if rec.detail:
+        row["detail"] = rec.detail
+    return row
 
 
-def _error_record(case: str, kind: str, seed: int, tol: float | None,
-                  exc: Exception, expect: str = "") -> dict:
+def _fault(exc: Exception, seed: int, tol: float | None) -> Result:
     t = 0.0 if tol is None else tol
-    return _record(case, kind, "error", 0.0, seed, t, t, "none",
-                   expect=expect, detail=f"{type(exc).__name__}: {exc}")
+    return Result("error", "none", seed=seed, tol_abs=t, tol_rel=t,
+                  detail=f"{type(exc).__name__}: {exc}")
 
 
-def _from_check_report(case: str, rep, expect: str = "") -> dict:
-    d = rep.to_dict()
-    return _record(case, rep.kind, rep.verdict, abs(d["residual_max"]),
-                   rep.seed, rep.tol_abs, rep.tol_rel, rep.provenance,
-                   expect=expect)
-
-
-def _checked(case: str, kind: str, seed: int, tol: float | None,
-             expect: str, check, *args, **kw) -> dict:
-    """One entry's row from ``check(*args, seed=seed, **kw)``: ``tol``
-    overrides both tolerances, and a runtime fault becomes an ``error``
-    row."""
+def _call(check, seed: int, tol: float | None, *args, **kw) -> Result:
+    """``check(*args, seed=seed, **kw)``: ``tol`` overrides both
+    tolerances, and a runtime fault becomes an ``error`` record."""
     if tol is not None:
         kw.update(tol_abs=tol, tol_rel=tol)
     try:
-        rep = check(*args, seed=seed, **kw)
+        return check(*args, seed=seed, **kw)
     except ENTRY_FAULTS as exc:
-        return _error_record(case, kind, seed, tol, exc, expect)
-    return _from_check_report(case, rep, expect)
+        return _fault(exc, seed, tol)
 
 
 def _run_operator(bundle: ProblemBundle, entry, seed: int,
@@ -104,63 +102,46 @@ def _run_operator(bundle: ProblemBundle, entry, seed: int,
         kind, check = "conditional", check_conditional
     else:
         kind, check = "classical", check_classical
-    return _checked(f"{bundle.name}:{entry.name}", kind, seed, tol, expect,
-                    check, entry.operator, bundle.equations[entry.on])
+    rec = _call(check, seed, tol, entry.operator, bundle.equations[entry.on])
+    return _row(f"{bundle.name}:{entry.name}", kind, rec, expect)
 
 
 def _run_reduce(bundle: ProblemBundle, entry, candidate: str, seed: int,
-                tol: float | None, expect: str = "",
-                stream=None) -> list[dict]:
+                tol: float | None, expect: str = "", stream=None) -> dict:
     if not entry.original:
         raise UsageFault(f"ansatz {entry.name!r} names no original equation")
     original = bundle.equations[entry.original]
-    records = []
     if candidate:
         if candidate not in bundle.reduced:
             raise UsageFault(f"unknown reduced system {candidate!r}")
-        records.append(_checked(f"{bundle.name}:{entry.name}->{candidate}",
-                                "reduction", seed, tol, expect, verify_reduction,
-                                entry.ansatz, original, bundle.reduced[candidate]))
-    else:
-        case = f"{bundle.name}:{entry.name}:derive"
-        try:
-            out = derive_reduction(entry.ansatz, original, seed=seed)
-        except ENTRY_FAULTS as exc:
-            records.append(_error_record(case, "derivation", seed, tol, exc,
-                                         expect))
-            return records
-        if isinstance(out, ReductionFailure):
-            records.append(_record(case, "derivation", "fail", 0.0, seed,
-                                   tol or 1e-9, tol or 1e-9, "symbolic",
-                                   expect=expect, detail=out.reason))
-        else:
-            records.append(_record(case, "derivation", "pass", 0.0, seed,
-                                   tol or 1e-9, tol or 1e-9, "symbolic",
-                                   expect=expect))
-            if stream is not None:
-                for lhs, rhs in out.equations:
-                    print(print_equation(lhs, rhs), file=stream)
-    return records
+        rec = _call(verify_reduction, seed, tol, entry.ansatz, original,
+                    bundle.reduced[candidate])
+        return _row(f"{bundle.name}:{entry.name}->{candidate}", "reduction",
+                    rec, expect)
+    out = _call(derive_reduction, seed, tol, entry.ansatz, original)
+    if isinstance(out, EquationSystem):
+        if stream is not None:
+            for lhs, rhs in out.equations:
+                print(print_equation(lhs, rhs), file=stream)
+        t = DEFAULT_TOL if tol is None else tol
+        out = Result(PASS, seed=seed, tol_abs=t, tol_rel=t)
+    return _row(f"{bundle.name}:{entry.name}:derive", "derivation", out,
+                expect)
 
 
 def _run_derive_cross(bundle: ProblemBundle, entry, seed: int,
-                      expect: str = "") -> dict:
+                      tol: float | None, expect: str = "") -> dict:
     """Derive the reduced system and test two-way equivalence against the
     bundled candidate."""
-    original = bundle.equations[entry.original]
-    case = f"{bundle.name}:{entry.name}:derive"
-    try:
-        out = derive_reduction(entry.ansatz, original, seed=seed)
-        if isinstance(out, ReductionFailure):
-            return _record(case, "derivation", "fail", 0.0, seed, 1e-9, 1e-9,
-                           "symbolic", expect=expect, detail=out.reason)
-        rep = systems_equivalent(out, bundle.reduced[entry.candidate],
-                                 seed=seed,
-                                 constraints=bundle.param_constraints)
-    except ENTRY_FAULTS as exc:
-        return _error_record(case, "system-equivalence", seed, None, exc,
-                             expect)
-    return _from_check_report(case, rep, expect)
+    out = _call(derive_reduction, seed, tol, entry.ansatz,
+                bundle.equations[entry.original])
+    kind = "derivation"
+    if isinstance(out, EquationSystem):
+        kind = "system-equivalence"
+        out = _call(systems_equivalent, seed, tol, out,
+                    bundle.reduced[entry.candidate],
+                    constraints=bundle.param_constraints)
+    return _row(f"{bundle.name}:{entry.name}:derive", kind, out, expect)
 
 
 def _run_solution(bundle: ProblemBundle, spec, seed: int, tol: float | None,
@@ -170,41 +151,31 @@ def _run_solution(bundle: ProblemBundle, spec, seed: int, tol: float | None,
     form = spec.make_form(sys_.js.dependents)
     plan = spec.make_plan(seed=seed)
     implicit = fd or spec.kind == "implicit"
+    # an explicit form forced onto finite differences gets that path's
+    # default tolerance, not its own
+    use_tol = tol
+    if tol is None and not (fd and spec.kind != "implicit"):
+        use_tol = spec.tol
+    residual = residual_implicit if implicit else residual_explicit
     try:
-        if implicit:
-            rep = residual_implicit(form, sys_, plan, binding)
-        else:
-            rep = residual_explicit(form, sys_, plan, binding)
+        rec = residual(form, sys_, plan, binding, tol=use_tol)
     except ENTRY_FAULTS as exc:
-        return _error_record(f"{bundle.name}:{spec.name}", "solution",
-                             plan.seed, tol, exc, expect)
-    default_tol = DEFAULT_IMPLICIT_TOL if implicit else DEFAULT_EXPLICIT_TOL
-    use_tol = tol if tol is not None else \
-        (spec.tol if spec.tol is not None and not (fd and spec.kind != "implicit")
-         else default_tol)
-    if rep.inconclusive:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass" if rep.max_residual < use_tol else "fail"
-    prov = "finite-difference" if implicit else "numeric"
-    detail = f"skipped {rep.skipped}/{rep.total} sample points"
-    return _record(f"{bundle.name}:{spec.name}", "solution", verdict,
-                   rep.max_residual, plan.seed, use_tol, 0.0, prov,
-                   expect=expect, detail=detail)
+        rec = _fault(exc, plan.seed, tol)
+    return _row(f"{bundle.name}:{spec.name}", "solution", rec, expect)
 
 
 def _run_backlund(bundle: ProblemBundle, entry, seed: int,
                   tol: float | None, expect: str = "") -> dict:
-    return _checked(f"{bundle.name}:{entry.name}", "backlund", seed, tol,
-                    expect, verify_backlund, entry.relation)
+    rec = _call(verify_backlund, seed, tol, entry.relation)
+    return _row(f"{bundle.name}:{entry.name}", "backlund", rec, expect)
 
 
 def _run_overdetermined(bundle: ProblemBundle, spec, seed: int,
                         tol: float | None, expect: str = "") -> dict:
-    return _checked(f"{bundle.name}:{spec.name}", "overdetermined", seed, tol,
-                    expect, check_overdetermined, spec.assignments,
-                    bundle.space, constraints=spec.constraints, box=spec.box,
-                    n=spec.n)
+    rec = _call(check_overdetermined, seed, tol, spec.assignments,
+                bundle.space, constraints=spec.constraints, box=spec.box,
+                n=spec.n)
+    return _row(f"{bundle.name}:{spec.name}", "overdetermined", rec, expect)
 
 
 # -- output -----------------------------------------------------------------
@@ -246,8 +217,10 @@ def _exit_code(records, honor_expect: bool = False) -> int:
 
 def _parse_seeds(text: str):
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(t) for t in text.split("..", 1))
+        if lo > hi:
+            raise UsageFault(f"empty seed range {text!r}")
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 
@@ -288,15 +261,11 @@ def run_suite(bundle: ProblemBundle, seed: int, tol: float | None = None,
     for entry in bundle.ansatzes.values():
         if not entry.original:
             continue
-        if entry.candidate:
-            records.extend(_run_reduce(bundle, entry, entry.candidate, seed,
-                                       tol, expect=entry.expect))
-            if entry.derive:
-                records.append(_run_derive_cross(bundle, entry, seed,
-                                                 expect=entry.expect))
-        else:
-            records.extend(_run_reduce(bundle, entry, "", seed, tol,
-                                       expect=entry.expect))
+        records.append(_run_reduce(bundle, entry, entry.candidate, seed,
+                                   tol, expect=entry.expect))
+        if entry.candidate and entry.derive:
+            records.append(_run_derive_cross(bundle, entry, seed, tol,
+                                             expect=entry.expect))
     for spec in bundle.solutions.values():
         records.append(_run_solution(bundle, spec, seed, tol, fd=fd,
                                      expect=spec.expect))
@@ -338,7 +307,7 @@ def cmd_reduce(args) -> int:
     _header(seeds, args.tol, args.format, sys.stdout)
     records = []
     for seed in seeds:
-        records.extend(_run_reduce(bundle, bundle.ansatzes[args.ansatz],
+        records.append(_run_reduce(bundle, bundle.ansatzes[args.ansatz],
                                    args.candidate, seed, args.tol,
                                    stream=sys.stdout))
     _emit(records, args.format, sys.stdout)

@@ -13,7 +13,13 @@ from .expr import (
     Var, atoms, eval_numeric, eval_with_scale,
 )
 from .systems import EquationSystem, restrict_to_manifold
-from .zerotest import Constraint, sample_point
+from .zerotest import (
+    FAIL, INCONCLUSIVE, PASS, Constraint, Result, sample_point, within_tol,
+)
+
+# pass thresholds on the largest |residual| when a solution names none
+DEFAULT_EXPLICIT_TOL = 1e-9
+DEFAULT_IMPLICIT_TOL = 1e-4
 
 
 class NoConvergence(ExprError):
@@ -250,7 +256,7 @@ def newton_system(residuals, unknowns, point, binding: ParameterBinding | None =
 
 
 # ---------------------------------------------------------------------------
-# solution forms and residual reports
+# solution forms and their residuals
 
 @dataclass(frozen=True)
 class SolutionForm:
@@ -282,17 +288,19 @@ class SamplePlan:
     grid: tuple = ()  # optional (nx, ny, ...) regular grid instead of random
 
 
-@dataclass
-class ResidualReport:
-    max_residual: float
-    skipped: int
-    total: int
-    seed: int
-
-    @property
-    def inconclusive(self) -> bool:
-        """Nothing was tested, or more than a fifth of the points skipped."""
-        return self.total == 0 or self.skipped > 0.2 * self.total
+def _solution_result(worst: float, skipped: int, total: int, seed: int,
+                     tol: float, provenance: str) -> Result:
+    """Inconclusive when nothing was tested or more than a fifth of the
+    points were skipped; else pass iff the largest |residual| is within
+    ``tol``."""
+    if total == 0 or skipped > 0.2 * total:
+        verdict = INCONCLUSIVE
+    else:
+        verdict = PASS if within_tol(worst, tol, 0.0) else FAIL
+    return Result(verdict, provenance, witness_value=worst,
+                  points_tested=total - skipped, points_skipped=skipped,
+                  seed=seed, tol_abs=tol, tol_rel=0.0,
+                  detail=f"skipped {skipped}/{total} sample points")
 
 
 def _plan_points(plan: SamplePlan, vars_, constraints=(), binding=None):
@@ -327,9 +335,11 @@ def _plan_points(plan: SamplePlan, vars_, constraints=(), binding=None):
 
 
 def residual_explicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
-                      binding: ParameterBinding | None = None) -> ResidualReport:
+                      binding: ParameterBinding | None = None,
+                      tol: float | None = None) -> Result:
     """Substitute exact symbolic derivatives of an explicit solution into
-    each equation and evaluate at the plan's points."""
+    each equation and evaluate at the plan's points; pass iff the largest
+    |residual| is at most ``tol`` (None: DEFAULT_EXPLICIT_TOL)."""
     if sol.kind != "explicit":
         raise ValueError("residual_explicit needs an explicit solution form")
     binding = binding or ParameterBinding()
@@ -354,7 +364,9 @@ def residual_explicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
             continue
         m = max(abs(v) for v in vals)
         worst = max(worst, m)
-    return ResidualReport(worst, skipped, len(pts), plan.seed)
+    return _solution_result(
+        worst, skipped, len(pts), plan.seed,
+        DEFAULT_EXPLICIT_TOL if tol is None else tol, "numeric")
 
 
 def _solve_solution_at(sol: SolutionForm, point, binding) -> float:
@@ -386,9 +398,12 @@ def _fd_stencil_1d(order: int, h: float):
 
 
 def residual_implicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
-                      binding: ParameterBinding | None = None) -> ResidualReport:
+                      binding: ParameterBinding | None = None,
+                      tol: float | None = None) -> Result:
     """Evaluate the equation residual with derivatives formed by central
-    finite differences on values of the (implicitly defined) solution."""
+    finite differences on values of the (implicitly defined) solution;
+    pass iff the largest |residual| is at most ``tol`` (None:
+    DEFAULT_IMPLICIT_TOL)."""
     binding = binding or ParameterBinding()
     if len(eq.equations) != 1:
         raise ValueError("residual_implicit checks a single equation")
@@ -438,4 +453,6 @@ def residual_implicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
             skipped += 1
             continue
         worst = max(worst, abs(val))
-    return ResidualReport(worst, skipped, len(pts), plan.seed)
+    return _solution_result(
+        worst, skipped, len(pts), plan.seed,
+        DEFAULT_IMPLICIT_TOL if tol is None else tol, "finite-difference")

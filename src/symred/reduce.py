@@ -27,10 +27,11 @@ from .numeric import NoConvergence, newton_system
 from .rewrites import (
     _touches, assume_positive, expand_trig, reduce_even_cosines, sqrt_pythagoras,
 )
-from .systems import CheckReport, EquationSystem, aggregate_report, restrict_to_manifold
+from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
-    Constraint, ZeroResult, _sym_name, check_seed, free_numeric_symbols,
-    is_zero, sample_point,
+    FAIL, INCONCLUSIVE, NONZERO, ZERO_VERDICT, Constraint, Result, _sym_name,
+    check_seed, combine, free_numeric_symbols, is_zero, sample_point,
+    within_tol,
 )
 
 
@@ -131,7 +132,7 @@ def _compat_residuals(rules, js: JetSpace):
 def verify_reduction(a: Ansatz, original: EquationSystem,
                      candidate: EquationSystem, seed: int = 0,
                      tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                     binding: ParameterBinding | None = None) -> CheckReport:
+                     binding: ParameterBinding | None = None) -> Result:
     """Check that the ansatz maps solutions of the candidate reduced
     system to solutions of the original: substitute the ansatz into each
     original equation (and into the targets' own cross-derivative
@@ -151,18 +152,7 @@ def verify_reduction(a: Ansatz, original: EquationSystem,
         zr = is_zero(r, constraints, seed=check_seed(seed, i),
                      tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
         results.append((label, zr))
-    return aggregate_report(results, seed, kind="reduction",
-                            case=a.name or original.name,
-                            tol_abs=tol_abs, tol_rel=tol_rel)
-
-
-@dataclass
-class ReductionFailure:
-    """Structured outcome when no reduced system exists for an ansatz."""
-
-    reason: str
-    offending: Expr | None = None
-    case: str = ""
+    return combine(results, seed, tol_abs, tol_rel)
 
 
 def _coefficient_split(r: Expr, elim):
@@ -192,22 +182,27 @@ def _solve_linear(c: Expr, lead: Jet):
 
 
 def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
-                     binding: ParameterBinding | None = None):
+                     binding: ParameterBinding | None = None,
+                     tol_abs: float = 1e-9, tol_rel: float = 1e-9):
     """Derive the reduced system the ansatz imposes on its unknown
     functions, or explain why none exists.
 
     The substituted residuals are separated by the symbols the reduction
     must eliminate (leftover base variables and bare original
     dependents); each coefficient becomes one equation, solved linearly
-    for its highest unknown-function derivative.  Returns a
-    EquationSystem on success and a ReductionFailure otherwise.
+    for its highest unknown-function derivative.  Returns an
+    EquationSystem on success, and otherwise a failing Result whose
+    ``detail`` gives the reason.  The tolerances apply where two
+    separated equations for the same derivative are compared.
     """
-    case = a.name or original.name
+    def failure(reason: str) -> Result:
+        return Result(FAIL, detail=reason, seed=seed, tol_abs=tol_abs,
+                      tol_rel=tol_rel)
+
     try:
         frame = ansatz_derivatives(a)
     except SingularImplicitSystem as exc:
-        return ReductionFailure(f"implicit invariant chain is singular: {exc}",
-                                case=case)
+        return failure(f"implicit invariant chain is singular: {exc}")
 
     kept = set(a.invariants)
     for args in a.phis.values():
@@ -238,28 +233,26 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
         elim = {s for s in atoms(r)
                 if (isinstance(s, Var) and s.name in elim_vars) or
                 (isinstance(s, Jet) and s.dep in orig_deps)}
-        for key, coeff in sorted(_coefficient_split(r, elim).items(),
+        for _, coeff in sorted(_coefficient_split(r, elim).items(),
                                  key=lambda kv: repr(kv[0])):
             coeff = simplify(coeff)
             if coeff == ZERO:
                 continue
             if isinstance(coeff, Num):
-                return ReductionFailure(
-                    "inconsistent: a separated coefficient is a nonzero constant",
-                    offending=key, case=case)
+                return failure(
+                    "inconsistent: a separated coefficient is a nonzero constant")
             phi_jets = [s for s in atoms(coeff, Jet) if s.dep in a.phis]
             deriv_jets = [s for s in phi_jets if s.order >= 1]
             if not deriv_jets:
-                return ReductionFailure(
+                return failure(
                     "a separated term has no unknown-function derivative to match "
-                    "(degenerate ansatz)", offending=coeff, case=case)
+                    "(degenerate ansatz)")
             lead = max(deriv_jets, key=lambda j: (j.order, j.dep, j.index))
             solution = _solve_linear(coeff, lead)
             if solution is None:
-                return ReductionFailure(
+                return failure(
                     "cannot solve a separated equation linearly for its "
-                    "highest unknown-function derivative",
-                    offending=coeff, case=case)
+                    "highest unknown-function derivative")
             solved.append((lead, solution[0], solution[1]))
 
     # dedupe repeated equations (the same relation often arrives from
@@ -271,23 +264,24 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
             if kept_eqs[lead] == rhs:
                 continue
             zr = is_zero(kept_eqs[lead] - rhs, frame.constraints,
-                         seed=check_seed(seed, 500 + i), binding=binding)
+                         seed=check_seed(seed, 500 + i), tol_abs=tol_abs,
+                         tol_rel=tol_rel, binding=binding)
             if zr.is_zero:
                 continue
-            return ReductionFailure(
+            return failure(
                 "inconsistent: two separated equations force different values "
-                f"for {lead!r}", offending=kept_eqs[lead] - rhs, case=case)
+                f"for {lead!r}")
         kept_eqs[lead] = rhs
         if not isinstance(pivot, Num) and \
                 all(c.expr != pivot for c in kept_pivots):
             kept_pivots.append(Constraint(pivot, "!="))
 
     if not kept_eqs:
-        return ReductionFailure("the ansatz produced no equations", case=case)
+        return failure("the ansatz produced no equations")
     if len(kept_eqs) > len(a.phis):
-        return ReductionFailure(
+        return failure(
             f"{len(kept_eqs)} independent reduced equations for "
-            f"{len(a.phis)} unknown functions", case=case)
+            f"{len(a.phis)} unknown functions")
 
     equations = sorted(kept_eqs.items(), key=lambda kv: (kv[0].dep, kv[0].index))
     return EquationSystem(frame.js, equations,
@@ -297,7 +291,7 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
 
 def systems_equivalent(s1: EquationSystem, s2: EquationSystem, seed: int = 0,
                        constraints=(), binding: ParameterBinding | None = None,
-                       tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> CheckReport:
+                       tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
     """Same leading coordinates and identical right sides on the shared
     constraint domain."""
     e1, e2 = dict(s1.equations), dict(s2.equations)
@@ -305,17 +299,15 @@ def systems_equivalent(s1: EquationSystem, s2: EquationSystem, seed: int = 0,
     results = []
     if set(e1) != set(e2):
         missing = set(e1) ^ set(e2)
-        zr = ZeroResult("nonzero", "symbolic",
-                        witness={"leads": sorted(_sym_name(j) for j in missing)})
+        zr = Result(NONZERO,
+                    witness={"leads": sorted(_sym_name(j) for j in missing)})
         results.append(("leading coordinates differ", zr))
     else:
         for i, lead in enumerate(sorted(e1, key=lambda j: (j.dep, j.index))):
             zr = is_zero(e1[lead] - e2[lead], cs, seed=check_seed(seed, i),
                          tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
             results.append((_sym_name(lead), zr))
-    return aggregate_report(results, seed, kind="system-equivalence",
-                            case=f"{s1.name} == {s2.name}",
-                            tol_abs=tol_abs, tol_rel=tol_rel)
+    return combine(results, seed, tol_abs, tol_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +329,7 @@ class BacklundRelation:
 
 def verify_backlund(bt: BacklundRelation, seed: int = 0,
                     tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                    binding: ParameterBinding | None = None) -> CheckReport:
+                    binding: ParameterBinding | None = None) -> Result:
     """Pass iff, modulo the source equation and the relations themselves,
     (a) the relations are cross-derivative compatible and (b) the target
     equation's residual vanishes."""
@@ -354,8 +346,7 @@ def verify_backlund(bt: BacklundRelation, seed: int = 0,
         zr = is_zero(r, constraints, seed=check_seed(seed, i),
                      tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
         results.append((label, zr))
-    return aggregate_report(results, seed, kind="backlund", case=bt.name,
-                            tol_abs=tol_abs, tol_rel=tol_rel)
+    return combine(results, seed, tol_abs, tol_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +373,7 @@ def _solve_first_derivatives(assignments, point, binding, rng, tries: int = 8):
 def check_overdetermined(assignments, js: JetSpace, seed: int = 0,
                          constraints=(), binding: ParameterBinding | None = None,
                          box=None, n: int = 32, tol_abs: float = 1e-9,
-                         tol_rel: float = 1e-9) -> CheckReport:
+                         tol_rel: float = 1e-9) -> Result:
     """Compatibility of an overdetermined pair of first-order relations
     for one dependent variable.
 
@@ -408,9 +399,8 @@ def check_overdetermined(assignments, js: JetSpace, seed: int = 0,
     leftovers = [simplify(lo) for lo in leftovers]
     leftovers = [lo for lo in leftovers if lo != ZERO]
     if not leftovers:
-        return aggregate_report([("compatibility", ZeroResult("zero", "symbolic"))],
-                                seed, kind="overdetermined", case=dep,
-                                tol_abs=tol_abs, tol_rel=tol_rel)
+        return combine([("compatibility", Result(ZERO_VERDICT))], seed,
+                       tol_abs, tol_rel)
 
     binding = binding or ParameterBinding()
     first_jets = set(j for j, _ in assignments)
@@ -442,16 +432,16 @@ def check_overdetermined(assignments, js: JetSpace, seed: int = 0,
             except DomainFault:
                 continue
             tested += 1
-            if abs(val) > tol_abs + tol_rel * scale:
-                verdict = "nonzero"
+            if not within_tol(val, tol_abs, tol_rel, scale):
+                verdict = NONZERO
                 witness = {_sym_name(k): v for k, v in point.items()}
                 witness_value = val
                 break
         if verdict is None:
-            verdict = "zero" if tested >= n else "inconclusive"
+            verdict = ZERO_VERDICT if tested >= n else INCONCLUSIVE
         results.append((f"compatibility condition {i}",
-                        ZeroResult(verdict, "probabilistic", witness=witness,
-                                   witness_value=witness_value,
-                                   points_tested=tested, residual=lo)))
-    return aggregate_report(results, seed, kind="overdetermined", case=dep,
-                            tol_abs=tol_abs, tol_rel=tol_rel)
+                        Result(verdict, "probabilistic", witness=witness,
+                               witness_value=witness_value,
+                               points_tested=tested, seed=check_seed(seed, i),
+                               tol_abs=tol_abs, tol_rel=tol_rel)))
+    return combine(results, seed, tol_abs, tol_rel)

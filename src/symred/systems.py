@@ -3,7 +3,7 @@ solution manifolds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .expr import (
     Expr, ExprError, IterationCapExceeded, Jet, atoms, contains, substitute,
@@ -97,69 +97,3 @@ def restrict_to_manifold(e: Expr, sys: EquationSystem, extra=(),
             return e
         e = substitute(e, batch)
     raise IterationCapExceeded("manifold rewriting did not terminate")
-
-
-@dataclass
-class CheckReport:
-    """Outcome of an invariance/reduction/compatibility check."""
-
-    verdict: str  # "pass" | "fail" | "inconclusive"
-    entries: list = field(default_factory=list)  # per-residual dicts
-    seed: int = 0
-    tol_abs: float = 1e-9
-    tol_rel: float = 1e-9
-    provenance: str = "symbolic"
-    witness: dict | None = None
-    assumptions: tuple = ()
-    kind: str = ""
-    case: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "residual_max": max((ent.get("witness_value", 0.0) for ent in self.entries),
-                                key=abs, default=0.0),
-            "seed": self.seed,
-            "tolerances": {"abs": self.tol_abs, "rel": self.tol_rel},
-            "provenance": self.provenance,
-            "witness": self.witness,
-            "assumptions": list(self.assumptions),
-        }
-
-
-def aggregate_report(results, seed: int, kind: str = "", case: str = "",
-                     tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                     assumptions=()) -> CheckReport:
-    """Combine per-residual ZeroResults into one CheckReport."""
-    entries = []
-    verdict = "pass"
-    witness = None
-    provenance = "symbolic"
-    for label, zr in results:
-        entries.append({
-            "label": label,
-            "verdict": zr.verdict,
-            "provenance": zr.provenance,
-            "witness": zr.witness,
-            "witness_value": zr.witness_value,
-            "points_tested": zr.points_tested,
-            "residual": zr.residual,
-        })
-        if zr.provenance == "probabilistic":
-            provenance = "probabilistic"
-        if zr.verdict == "nonzero":
-            verdict = "fail"
-            if witness is None:
-                witness = zr.witness
-        elif zr.verdict == "inconclusive" and verdict != "fail":
-            verdict = "inconclusive"
-    return CheckReport(verdict=verdict, entries=entries, seed=seed,
-                       tol_abs=tol_abs, tol_rel=tol_rel, provenance=provenance,
-                       witness=witness, assumptions=tuple(assumptions),
-                       kind=kind, case=case)

@@ -12,7 +12,7 @@ survive while structural mutants are caught.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .expr import (
     DomainFault, Expr, Jet, Num, Param, ParameterBinding, OpaqueInstance,
@@ -50,18 +50,70 @@ class Constraint:
         return _REL_OPS[self.rel](v)
 
 
+PASS = "pass"
+FAIL = "fail"
+
+
+def within_tol(value: float, tol_abs: float, tol_rel: float,
+               scale: float = 0.0) -> bool:
+    """The one pass rule of every check: |value| <= tol_abs + tol_rel*scale."""
+    return abs(value) <= tol_abs + tol_rel * scale
+
+
 @dataclass
-class ZeroResult:
+class Result:
+    """The verdict of one zero-test, check or solution, and what it rests
+    on; every verdict function of symred returns one.
+
+    A zero-test says zero/nonzero/inconclusive; a check says
+    pass/fail/inconclusive over its labelled ``parts`` (see ``combine``);
+    a runtime fault reported as a row says ``error``.  ``witness_value``
+    is the residual at ``witness``, the part residual of largest
+    magnitude for a check, or the largest |residual| over a solution's
+    points.  The point counts belong to a zero-test or a solution (a
+    check's are in its parts).  ``seed`` and the tolerances are the ones
+    the verdict was computed with."""
+
     verdict: str
-    provenance: str = "symbolic"  # "symbolic" | "probabilistic"
+    provenance: str = "symbolic"  # symbolic/probabilistic/numeric/finite-difference
     witness: dict | None = None
     witness_value: float = 0.0
     points_tested: int = 0
-    residual: Expr | None = None
+    points_skipped: int = 0
+    seed: int = 0
+    tol_abs: float = 1e-9
+    tol_rel: float = 1e-9
+    label: str = ""
+    parts: tuple = ()
+    detail: str = ""
 
     @property
     def is_zero(self) -> bool:
         return self.verdict == ZERO_VERDICT
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == PASS
+
+
+def combine(labelled, seed: int, tol_abs: float, tol_rel: float) -> Result:
+    """One check's result from its (label, zero-test result) pairs: fail
+    if any part is nonzero (the first one gives the witness), else
+    inconclusive if any part is, else pass."""
+    parts = tuple(replace(r, label=label) for label, r in labelled)
+    failing = [r for r in parts if r.verdict == NONZERO]
+    if failing:
+        verdict = FAIL
+    elif any(r.verdict == INCONCLUSIVE for r in parts):
+        verdict = INCONCLUSIVE
+    else:
+        verdict = PASS
+    probabilistic = any(r.provenance == "probabilistic" for r in parts)
+    return Result(verdict, "probabilistic" if probabilistic else "symbolic",
+                  witness=failing[0].witness if failing else None,
+                  witness_value=max((r.witness_value for r in parts), key=abs,
+                                    default=0.0),
+                  seed=seed, tol_abs=tol_abs, tol_rel=tol_rel, parts=parts)
 
 
 def _random_opaque(rng: random.Random) -> OpaqueInstance:
@@ -119,15 +171,21 @@ def free_numeric_symbols(e: Expr, binding: ParameterBinding):
 def is_zero(e: Expr, constraints=(), seed: int = 0, n: int = 64,
             tol_abs: float = 1e-9, tol_rel: float = 1e-9,
             retry_budget: int = 1024, binding: ParameterBinding | None = None,
-            box=None) -> ZeroResult:
+            box=None) -> Result:
     """Decide whether ``e`` vanishes identically on the constrained domain."""
     binding = binding or ParameterBinding()
+    tested = 0
+
+    def result(verdict, provenance="probabilistic", **kw) -> Result:
+        return Result(verdict, provenance, points_tested=tested, seed=seed,
+                      tol_abs=tol_abs, tol_rel=tol_rel, **kw)
+
     e = simplify(e)
     if isinstance(e, Num):
         if e.value == 0:
-            return ZeroResult(ZERO_VERDICT, "symbolic", residual=e)
-        return ZeroResult(NONZERO, "symbolic", witness={}, witness_value=float(e.value),
-                          residual=e)
+            return result(ZERO_VERDICT, "symbolic")
+        return result(NONZERO, "symbolic", witness={},
+                      witness_value=float(e.value))
 
     rng = random.Random(seed)
     unbound_fns = sorted(set(opaque_names(e)) - set(binding.functions))
@@ -141,27 +199,24 @@ def is_zero(e: Expr, constraints=(), seed: int = 0, n: int = 64,
     symbols.sort(key=_sym_name)
 
     draws_left = retry_budget
-    tested = 0
     while tested < n:
         if draws_left <= 0:
-            return ZeroResult(INCONCLUSIVE, "probabilistic", points_tested=tested,
-                              residual=e)
+            return result(INCONCLUSIVE)
         b = binding
         if unbound_fns:
             b = binding.extended(functions={f: _random_opaque(rng) for f in unbound_fns})
         point, used = sample_point(symbols, constraints, rng, b, box, draws_left)
         draws_left -= used
         if point is None:
-            return ZeroResult(INCONCLUSIVE, "probabilistic", points_tested=tested,
-                              residual=e)
+            return result(INCONCLUSIVE)
         try:
             val, scale = eval_with_scale(e, point, b)
         except DomainFault:
             draws_left -= 1
             continue
         tested += 1
-        if abs(val) > tol_abs + tol_rel * scale:
-            return ZeroResult(NONZERO, "probabilistic",
-                              witness={_sym_name(k): v for k, v in point.items()},
-                              witness_value=val, points_tested=tested, residual=e)
-    return ZeroResult(ZERO_VERDICT, "probabilistic", points_tested=tested, residual=e)
+        if not within_tol(val, tol_abs, tol_rel, scale):
+            return result(NONZERO,
+                          witness={_sym_name(k): v for k, v in point.items()},
+                          witness_value=val)
+    return result(ZERO_VERDICT)

@@ -16,9 +16,10 @@ from symred.expr import Num, ParameterBinding, Var
 from symred.jets import JetSpace, VectorField
 from symred.numeric import residual_explicit, residual_implicit
 from symred.reduce import (
-    ReductionFailure, check_overdetermined, derive_reduction,
-    systems_equivalent, verify_backlund, verify_reduction,
+    check_overdetermined, derive_reduction, systems_equivalent,
+    verify_backlund, verify_reduction,
 )
+from symred.zerotest import Result
 
 
 def timed(budget):
@@ -40,8 +41,7 @@ def test_criterion_1_classical_symmetry(bundles):
         rep = check_classical(b.operators["halfQminusD"].operator,
                               b.equations["sys3"], seed=0)
     assert rep.passed
-    d = rep.to_dict()
-    assert abs(d["residual_max"]) < 1e-9
+    assert abs(rep.witness_value) < 1e-9
 
 
 def test_criterion_2_conditional_symmetry(bundles):
@@ -89,7 +89,7 @@ def test_criterion_4_derive_reduction(bundles, bname, aname, oname, cname):
     with timed(5.0):
         out = derive_reduction(b.ansatzes[aname].ansatz, b.equations[oname],
                                seed=0)
-        assert not isinstance(out, ReductionFailure)
+        assert not isinstance(out, Result)
         # cross-verify both directions: the derived system supports the
         # original through the ansatz, and is algebraically equivalent to
         # the bundled candidate
@@ -111,9 +111,9 @@ def test_criterion_5_explicit_solutions(bundles):
         binds = {"alpha": rng.uniform(0.5, 1.5), "C1": rng.uniform(1.5, 3.0)}
         binding = ParameterBinding(binds)
         rep = residual_explicit(form, sys_, spec.make_plan(), binding)
-        assert not rep.inconclusive
-        assert rep.total - rep.skipped >= 64
-        assert rep.max_residual < 1e-9, binds
+        assert rep.verdict != "inconclusive"
+        assert rep.points_tested >= 64
+        assert rep.witness_value < 1e-9, binds
 
     ode = bundles["ode32"]
     for name, tol in (("eq38", 1e-8), ("constantF", 1e-12)):
@@ -121,8 +121,8 @@ def test_criterion_5_explicit_solutions(bundles):
         sys_ = ode.system(spec.of)
         rep = residual_explicit(spec.make_form(sys_.js.dependents), sys_,
                                 spec.make_plan(), spec.make_binding())
-        assert not rep.inconclusive
-        assert rep.max_residual < tol
+        assert rep.verdict != "inconclusive"
+        assert rep.witness_value < tol
 
 
 def test_criterion_6_implicit_solution(bundles):
@@ -136,11 +136,11 @@ def test_criterion_6_implicit_solution(bundles):
                                  spec.make_plan(), spec.make_binding())
 
     good = run("implicitTheta")
-    assert not good.inconclusive
-    assert good.skipped <= 0.2 * good.total
-    assert good.max_residual < 1e-4
+    assert good.verdict != "inconclusive"
+    assert good.points_skipped <= 0.2 * (good.points_tested + good.points_skipped)
+    assert good.witness_value < 1e-4
     flipped = run("thetaFlipped")
-    assert flipped.max_residual >= 1e3 * 1e-4
+    assert flipped.witness_value >= 1e3 * 1e-4
 
 
 def test_criterion_7_backlund(bundles):

@@ -36,9 +36,8 @@ def test_classical_broken_scaling_fails():
 def test_report_carries_seed_and_tolerances():
     vf = VectorField({"x1": Num(1)}, {}, name="T1")
     rep = check_classical(vf, heat_like(), seed=7)
-    d = rep.to_dict()
-    assert d["seed"] == 7
-    assert d["tolerances"] == {"abs": 1e-9, "rel": 1e-9}
+    assert rep.seed == 7
+    assert {"abs": rep.tol_abs, "rel": rep.tol_rel} == {"abs": 1e-9, "rel": 1e-9}
 
 
 def test_invariant_surface_conditions_shape():

@@ -205,3 +205,43 @@ def test_closed_pipe_exits_quietly():
         os.close(write_end)
     assert proc.stderr == ""
     assert proc.returncode == 1
+
+
+def test_derive_row_reports_tol_zero_as_given(capsys):
+    code, out, _ = run(capsys, "reduce", path("sg_deformed"), "--ansatz", "eq16",
+                       "--tol", "0", "--format", "json-lines")
+    assert code == 0
+    row = json.loads(out.splitlines()[-1])
+    assert row["case"] == "sg_deformed:eq16:derive"
+    assert row["verdict"] == "pass"
+    assert row["tolerances"] == {"abs": 0.0, "rel": 0.0}
+
+
+def test_paper_suite_tol_reaches_every_row(capsys):
+    _, out, _ = run(capsys, "paper-suite", "--tol", "1e-7",
+                    "--format", "json-lines")
+    rows = [json.loads(ln) for ln in out.splitlines()]
+    derive = {r["case"]: r for r in rows if r["case"].endswith(":derive")}
+    for case in ("ode32:logAnsatz:derive", "sg_deformed:eq16:derive"):
+        assert derive[case]["kind"] == "system-equivalence"
+        assert derive[case]["tolerances"] == {"abs": 1e-7, "rel": 1e-7}
+    assert all(r["tolerances"]["abs"] == 1e-7 for r in rows)
+
+
+def test_residual_exactly_at_tolerance_passes(capsys):
+    # F = 1 makes the residual an exact identity: 0 <= 0 passes, as in
+    # every zero-test
+    code, out, _ = run(capsys, "verify", path("ode32"), "--solution",
+                       "constantF", "--tol", "0", "--format", "json-lines")
+    row = json.loads(out)
+    assert row["residual_max"] == 0.0
+    assert row["tolerances"] == {"abs": 0.0, "rel": 0.0}
+    assert row["verdict"] == "pass"
+    assert code == 0
+
+
+def test_empty_seed_range_is_a_usage_fault(capsys):
+    code, out, err = run(capsys, "paper-suite", "--seed", "3..1")
+    assert code == 3
+    assert out == ""
+    assert "empty seed range" in err

@@ -87,8 +87,8 @@ def test_residual_explicit_exact_solution():
     sol = SolutionForm(kind="explicit",
                        explicit=(("u", func("exp", -Var("t"))),), dep="u")
     rep = residual_explicit(sol, sys_, SamplePlan(box={"t": (0.0, 2.0)}, n=32))
-    assert not rep.inconclusive
-    assert rep.max_residual < 1e-12
+    assert rep.verdict != "inconclusive"
+    assert rep.witness_value < 1e-12
 
 
 def test_residual_explicit_wrong_solution():
@@ -96,7 +96,7 @@ def test_residual_explicit_wrong_solution():
     sol = SolutionForm(kind="explicit",
                        explicit=(("u", func("exp", Var("t"))),), dep="u")
     rep = residual_explicit(sol, sys_, SamplePlan(box={"t": (0.0, 2.0)}, n=32))
-    assert rep.max_residual > 1e-2
+    assert rep.witness_value > 1e-2
 
 
 def test_residual_implicit_on_explicit_form():
@@ -106,8 +106,8 @@ def test_residual_implicit_on_explicit_form():
                        explicit=(("u", func("exp", -Var("t"))),), dep="u")
     rep = residual_implicit(sol, sys_,
                             SamplePlan(box={"t": (0.0, 2.0)}, n=16, h=1e-5))
-    assert not rep.inconclusive
-    assert rep.max_residual < 1e-6
+    assert rep.verdict != "inconclusive"
+    assert rep.witness_value < 1e-6
 
 
 def test_residual_implicit_relation_form():
@@ -119,8 +119,8 @@ def test_residual_implicit_relation_form():
                        dep="u")
     rep = residual_implicit(sol, sys_,
                             SamplePlan(box={"t": (0.0, 2.0)}, n=16, h=1e-4))
-    assert not rep.inconclusive
-    assert rep.max_residual < 1e-5
+    assert rep.verdict != "inconclusive"
+    assert rep.witness_value < 1e-5
 
 
 def test_report_tracks_skips():
@@ -128,7 +128,7 @@ def test_report_tracks_skips():
     sol = SolutionForm(kind="explicit",
                        explicit=(("u", func("ln", -Var("t"))),), dep="u")
     rep = residual_explicit(sol, sys_, SamplePlan(box={"t": (0.5, 2.0)}, n=16))
-    assert rep.inconclusive  # every point faults on ln of a negative
+    assert rep.verdict == "inconclusive"  # every point faults on ln of a negative
 
 
 def test_explicit_report_counts_pinned(bundles):
@@ -138,12 +138,12 @@ def test_explicit_report_counts_pinned(bundles):
     form = spec.make_form(sys_.js.dependents)
     rep = residual_explicit(form, sys_, spec.make_plan(seed=3),
                             spec.make_binding())
-    assert (rep.total, rep.skipped) == (64, 0)
+    assert (rep.points_tested + rep.points_skipped, rep.points_skipped) == (64, 0)
     # the solution's constraint fails for w < -ln 2: on a widened box
     # draws are rejected and the budget of 100 runs out at 60 points
     plan = SamplePlan(box={"w": (-3.0, 2.0)}, n=64, seed=3, retry_budget=100)
     rep = residual_explicit(form, sys_, plan, spec.make_binding())
-    assert (rep.total, rep.skipped) == (60, 0)
+    assert (rep.points_tested + rep.points_skipped, rep.points_skipped) == (60, 0)
 
 
 def test_grid_plan_point_count():
@@ -152,4 +152,4 @@ def test_grid_plan_point_count():
                        explicit=(("u", func("exp", -Var("t"))),), dep="u")
     rep = residual_explicit(sol, sys_,
                             SamplePlan(box={"t": (0.0, 2.0)}, grid=(7,)))
-    assert rep.total == 7
+    assert rep.points_tested + rep.points_skipped == 7

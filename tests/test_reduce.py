@@ -5,12 +5,12 @@ from symred.expr import (
 )
 from symred.jets import JetSpace
 from symred.reduce import (
-    Ansatz, BacklundRelation, ReductionFailure, ansatz_derivatives,
+    Ansatz, BacklundRelation, ansatz_derivatives,
     check_overdetermined, derive_reduction, systems_equivalent,
     verify_backlund, verify_reduction,
 )
 from symred.systems import EquationSystem, restrict_to_manifold
-from symred.zerotest import Constraint, is_zero
+from symred.zerotest import Constraint, Result, is_zero
 
 JS = JetSpace(("x1", "x2"), {"u": ("x1", "x2")})
 
@@ -85,7 +85,7 @@ def test_verify_reduction_sign_flip_fails():
 
 def test_derive_reduction_recovers_candidate():
     out = derive_reduction(log_ansatz(), wave_equation())
-    assert not isinstance(out, ReductionFailure)
+    assert not isinstance(out, Result)
     assert len(out.equations) <= 2  # never more equations than unknowns
     eq = systems_equivalent(out, reduced_candidate())
     assert eq.passed
@@ -108,8 +108,8 @@ def test_derive_reduction_degenerate_ansatz_fails():
     a = Ansatz(js=js, targets=[(Jet("u"), Var("x1") * Jet("phi1"))],
                phis={"phi1": ("x2",)})
     out = derive_reduction(a, eq)
-    assert isinstance(out, ReductionFailure)
-    assert out.reason
+    assert isinstance(out, Result)
+    assert out.detail
 
 
 def test_systems_equivalent_detects_difference():
@@ -156,7 +156,7 @@ def test_overdetermined_trivial_incompatible():
     # the first draw, from the default box 0.2 .. 2 at seed 0
     assert rep.witness["x2"] == 1.7199593327450866
     assert rep.witness["u[x1]"] == pytest.approx(1.7199593327450866, rel=1e-12)
-    assert rep.entries[0]["points_tested"] == 1
+    assert rep.parts[0].points_tested == 1
 
 
 def test_overdetermined_seed_stream_pinned(bundles):
@@ -171,12 +171,12 @@ def test_overdetermined_seed_stream_pinned(bundles):
                                     box=spec.box, n=spec.n)
 
     rep = run(spec.assignments)
-    assert [(e["verdict"], e["points_tested"]) for e in rep.entries] == \
+    assert [(p.verdict, p.points_tested) for p in rep.parts] == \
         [("zero", 32)]
     (l1, r1), (l2, r2) = spec.assignments
     rep = run(((l1, r1), (l2, Num(-1) * r2)))
     assert rep.verdict == "fail"
-    assert rep.entries[0]["points_tested"] == 1
+    assert rep.parts[0].points_tested == 1
     witness = dict(rep.witness)
     solved = {k: witness.pop(k) for k in ("u[x1]", "u[x2]")}
     assert witness == {"C": 0.7066531109150289, "C1": 2.636931604410454,

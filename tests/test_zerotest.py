@@ -5,7 +5,9 @@ import pytest
 from symred.expr import (
     Jet, Num, Param, ParameterBinding, UnboundSymbol, Var, func, opaque, pow_,
 )
-from symred.zerotest import Constraint, is_zero, sample_point
+from symred.zerotest import (
+    Constraint, Result, combine, is_zero, sample_point,
+)
 
 x = Var("x")
 y = Var("y")
@@ -130,3 +132,24 @@ def test_sample_point_rejects_domain_faults_propagates_unbound():
     unbound = (Constraint(x - Param("k"), ">"),)
     with pytest.raises(UnboundSymbol):
         sample_point([x], unbound, random.Random(0), ParameterBinding())
+
+
+def test_combine_labels_parts_and_takes_the_first_failing_witness():
+    parts = [("a", Result("zero", "symbolic")),
+             ("b", Result("nonzero", "probabilistic", witness={"x": 1.0},
+                          witness_value=0.5, points_tested=3)),
+             ("c", Result("nonzero", "probabilistic", witness={"x": 2.0},
+                          witness_value=-0.75, points_tested=1)),
+             ("d", Result("inconclusive", "probabilistic", points_tested=2))]
+    rep = combine(parts, seed=4, tol_abs=1e-6, tol_rel=0.0)
+    assert [(p.label, p.verdict) for p in rep.parts] == \
+        [("a", "zero"), ("b", "nonzero"), ("c", "nonzero"),
+         ("d", "inconclusive")]
+    assert rep.verdict == "fail" and not rep.passed
+    assert rep.witness == {"x": 1.0}
+    assert rep.witness_value == -0.75  # largest in magnitude
+    assert rep.provenance == "probabilistic"
+    assert (rep.seed, rep.tol_abs, rep.tol_rel) == (4, 1e-6, 0.0)
+    assert combine(parts[3:], 0, 1e-9, 1e-9).verdict == "inconclusive"
+    only_zero = combine(parts[:1], 0, 1e-9, 1e-9)
+    assert only_zero.passed and only_zero.provenance == "symbolic"
