@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import Expr, Jet, Num, ZERO, add, mul, pow_
+from .expr import Jet, Num, ZERO, add, mul, pow_
 from .jets import CanonicalOperator, JetSpace, VectorField, apply_operator, prolong
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import Result, check_seed, combine, is_zero

@@ -37,7 +37,10 @@ from .reduce import (
     check_overdetermined, derive_reduction, systems_equivalent,
     verify_backlund, verify_reduction,
 )
-from .numeric import residual_explicit, residual_implicit
+from .numeric import (
+    DEFAULT_EXPLICIT_TOL, DEFAULT_IMPLICIT_TOL, residual_explicit,
+    residual_implicit,
+)
 from .systems import EquationSystem
 from .zerotest import PASS, Result
 
@@ -76,9 +79,10 @@ def _row(case: str, kind: str, rec: Result, expect: str = "") -> dict:
     return row
 
 
-def _fault(exc: Exception, seed: int, tol: float | None) -> Result:
-    t = 0.0 if tol is None else tol
-    return Result("error", "none", seed=seed, tol_abs=t, tol_rel=t,
+def _fault(exc: Exception, seed: int, tol_abs: float, tol_rel: float) -> Result:
+    """An ``error`` record carrying the tolerances the check would have
+    used."""
+    return Result("error", "none", seed=seed, tol_abs=tol_abs, tol_rel=tol_rel,
                   detail=f"{type(exc).__name__}: {exc}")
 
 
@@ -90,7 +94,8 @@ def _call(check, seed: int, tol: float | None, *args, **kw) -> Result:
     try:
         return check(*args, seed=seed, **kw)
     except ENTRY_FAULTS as exc:
-        return _fault(exc, seed, tol)
+        t = DEFAULT_TOL if tol is None else tol
+        return _fault(exc, seed, t, t)
 
 
 def _run_operator(bundle: ProblemBundle, entry, seed: int,
@@ -156,11 +161,13 @@ def _run_solution(bundle: ProblemBundle, spec, seed: int, tol: float | None,
     use_tol = tol
     if tol is None and not (fd and spec.kind != "implicit"):
         use_tol = spec.tol
+    if use_tol is None:
+        use_tol = DEFAULT_IMPLICIT_TOL if implicit else DEFAULT_EXPLICIT_TOL
     residual = residual_implicit if implicit else residual_explicit
     try:
         rec = residual(form, sys_, plan, binding, tol=use_tol)
     except ENTRY_FAULTS as exc:
-        rec = _fault(exc, plan.seed, tol)
+        rec = _fault(exc, plan.seed, use_tol, 0.0)
     return _row(f"{bundle.name}:{spec.name}", "solution", rec, expect)
 
 

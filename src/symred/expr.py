@@ -628,35 +628,24 @@ def _diff(e: Expr, v: Expr) -> Expr:
     raise TypeError(type(e))
 
 
-def substitute(e: Expr, rules: Mapping[Expr, Expr], fixed_point: bool = False,
-               cap: int = 32) -> Expr:
-    """Simultaneous substitution followed by normalization.
+def substitute(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
+    """Simultaneous substitution, rebuilt through the normalizing
+    constructors.
 
     Rules are keyed by whole subexpressions (usually atoms); a rule's
-    replacement is not rescanned within the same pass.  Fixed-point
-    mode re-applies passes until stable or ``cap`` is hit.
+    replacement is not rescanned.
     """
-    if not rules:
-        return simplify(e)
-    if not fixed_point:
-        return _subst_once(e, rules)
-    cur = e
-    for _ in range(cap):
-        nxt = _subst_once(cur, rules)
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise IterationCapExceeded("substitution did not reach a fixed point")
+    return _subst(e, rules) if rules else e
 
 
-def _subst_once(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
+def _subst(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
     hit = rules.get(e)
     if hit is not None:
         return hit
     kids = children(e)
     if not kids:
         return e
-    return rebuild(e, (_subst_once(k, rules) for k in kids))
+    return rebuild(e, (_subst(k, rules) for k in kids))
 
 
 # ---------------------------------------------------------------------------

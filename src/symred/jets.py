@@ -101,13 +101,6 @@ class VectorField:
         object.__setattr__(self, "xi", {k: v for k, v in self.xi.items() if v != ZERO})
         object.__setattr__(self, "eta", {k: v for k, v in self.eta.items() if v != ZERO})
 
-    def validate_point(self, js: JetSpace):
-        for comp in list(self.xi.values()) + list(self.eta.values()):
-            for a in atoms(comp, Jet):
-                if a.order >= 1:
-                    raise ValueError(
-                        "point operator components may not contain derivative coordinates")
-
     def scaled(self, c) -> "VectorField":
         return VectorField({k: mul(c, v) for k, v in self.xi.items()},
                            {k: mul(c, v) for k, v in self.eta.items()})

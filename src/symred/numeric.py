@@ -1,6 +1,7 @@
 """Floating-point validation of exact solutions: adaptive quadrature,
-Newton/bisection solves for implicit relations, and PDE residuals via
-exact symbolic derivatives or finite differences."""
+one damped Newton solver (with a bisection safeguard for one unknown)
+for implicit relations and small systems, and PDE residuals via exact
+symbolic derivatives or finite differences."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .expr import (
     DomainFault, Expr, ExprError, Jet, OpaqueInstance, ParameterBinding,
-    Var, atoms, eval_numeric, eval_with_scale,
+    Var, atoms, eval_numeric,
 )
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
@@ -125,134 +126,134 @@ def quadrature_instance(integrand_fn, lower: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# implicit solves
+# implicit solves: one damped Newton iteration for scalar and small systems
 
-def solve_implicit(res: Expr, unknown, point, binding: ParameterBinding | None = None,
-                   guess: float = 0.0, bracket=None, tol: float = 1e-12,
-                   max_iter: int = 100) -> float:
-    """Damped Newton with numeric derivative on a scalar relation
-    ``res == 0``; falls back to bisection once a sign bracket is known."""
-    binding = binding or ParameterBinding()
+# a solve succeeds once the largest |residual| is below NEWTON_TOL
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 100
 
-    def f(t: float) -> float:
-        p = dict(point)
-        p[unknown] = t
-        return eval_numeric(res, p, binding)
 
-    lo_hi = None
-    if bracket is not None:
-        a, b = bracket
-        try:
-            fa, fb = f(a), f(b)
-            if fa == 0.0:
-                return a
-            if fb == 0.0:
-                return b
-            if fa * fb < 0:
-                lo_hi = (a, fa, b, fb)
-        except DomainFault:
-            pass
-
-    t = guess
-    try:
-        ft = f(t)
-    except DomainFault:
-        if lo_hi is None:
-            raise NoConvergence("initial guess out of domain", t)
-        t = 0.5 * (lo_hi[0] + lo_hi[2])
-        ft = f(t)
-
-    for _ in range(max_iter):
-        if abs(ft) < tol:
-            return t
-        h = 1e-7 * (1.0 + abs(t))
-        try:
-            d = (f(t + h) - f(t - h)) / (2 * h)
-        except DomainFault:
-            d = 0.0
-        stepped = False
-        if d != 0.0:
-            step = ft / d
-            for _ in range(40):
-                try:
-                    t2 = t - step
-                    ft2 = f(t2)
-                except DomainFault:
-                    step *= 0.5
-                    continue
-                if abs(ft2) < abs(ft) or abs(ft2) < tol:
-                    if (ft > 0) != (ft2 > 0):
-                        lo_hi = (t, ft, t2, ft2)
-                    t, ft = t2, ft2
-                    stepped = True
-                    break
-                step *= 0.5
-        if not stepped:
-            if lo_hi is None:
-                raise NoConvergence("Newton stalled without a bracket", t, ft)
-            a, fa, b, fb = lo_hi
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = f(m)
-                if abs(fm) < tol:
-                    return m
-                if (fa > 0) != (fm > 0):
-                    b, fb = m, fm
-                else:
-                    a, fa = m, fm
-            raise NoConvergence("bisection did not converge", 0.5 * (a + b), fm)
-    if abs(ft) < tol:
-        return t
-    raise NoConvergence("iteration limit reached", t, ft)
+def _gauss_solve(a, b):
+    """x with ``a x = b`` by Gaussian elimination with partial pivoting
+    (overwriting the row lists ``a`` and ``b``), or None when a pivot is
+    zero or not finite."""
+    k = len(b)
+    for i in range(k):
+        piv = max(range(i, k), key=lambda r: abs(a[r][i]))
+        if a[piv][i] == 0 or not math.isfinite(a[piv][i]):
+            return None
+        a[i], a[piv], b[i], b[piv] = a[piv], a[i], b[piv], b[i]
+        for r in range(i + 1, k):
+            m = a[r][i] / a[i][i]
+            for c in range(i + 1, k):
+                a[r][c] -= m * a[i][c]
+            b[r] -= m * b[i]
+    x = [0.0] * k
+    for i in reversed(range(k)):
+        s = b[i]
+        for c in range(i + 1, k):
+            s -= a[i][c] * x[c]
+        x[i] = s / a[i][i]
+    return x
 
 
 def newton_system(residuals, unknowns, point, binding: ParameterBinding | None = None,
-                  guesses=None, tol: float = 1e-12, max_iter: int = 80):
-    """Small multivariate damped Newton with finite-difference Jacobian.
-    ``residuals``/``unknowns`` are parallel lists; returns a value list."""
-    import numpy as np
+                  guesses=None, bracket=None):
+    """Solve ``residuals == 0`` for ``unknowns`` (parallel lists) from
+    ``guesses`` (default 0.1 each); returns the list of values.
 
+    Damped Newton: a central-difference Jacobian (step 1e-7*(1+|v|)),
+    the step from :func:`_gauss_solve`, halved up to 40 times until the
+    largest |residual| drops.  With one unknown, a sign change of the
+    residual is kept as a bracket: ``bracket`` (lo, hi) seeds it once
+    both ends are checked (a guess out of domain then restarts from its
+    midpoint), and a Newton step that changes sign replaces it.  When
+    Newton stalls (out of domain, singular Jacobian, no descent), 200
+    bisection steps on the bracket take over.  Raises NoConvergence;
+    a DomainFault at a bisection point propagates."""
     binding = binding or ParameterBinding()
     k = len(unknowns)
-    vals = list(guesses) if guesses is not None else [0.1] * k
+    p = dict(point)
 
     def g(vs):
-        p = dict(point)
         p.update(zip(unknowns, vs))
-        return np.array([eval_numeric(r, p, binding) for r in residuals])
+        return [eval_numeric(r, p, binding) for r in residuals]
 
-    gv = g(vals)
-    for _ in range(max_iter):
-        nrm = float(np.max(np.abs(gv)))
-        if nrm < tol:
-            return vals
-        jac = np.zeros((k, k))
-        for j in range(k):
-            h = 1e-7 * (1.0 + abs(vals[j]))
-            up = list(vals)
-            dn = list(vals)
-            up[j] += h
-            dn[j] -= h
-            jac[:, j] = (g(up) - g(dn)) / (2 * h)
+    lo_hi = None  # (a, residual at a, b) with a sign change on [a, b]
+    if bracket is not None:
+        a, b = bracket
         try:
-            step = np.linalg.solve(jac, gv)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence("singular Jacobian", vals, nrm) from exc
-        lam = 1.0
-        for _ in range(40):
-            trial = [v - lam * s for v, s in zip(vals, step)]
+            fa, fb = g([a])[0], g([b])[0]
+            if fa == 0.0:
+                return [a]
+            if fb == 0.0:
+                return [b]
+            if fa * fb < 0:
+                lo_hi = (a, fa, b)
+        except DomainFault:
+            pass
+
+    vals = list(guesses) if guesses is not None else [0.1] * k
+    try:
+        gv = g(vals)
+    except DomainFault:
+        if lo_hi is None:
+            raise NoConvergence("initial guess out of domain", vals)
+        vals = [0.5 * (lo_hi[0] + lo_hi[2])]
+        gv = g(vals)
+
+    for it in range(NEWTON_MAX_ITER + 1):
+        nrm = max(map(abs, gv))
+        if nrm < NEWTON_TOL:
+            return vals
+        if it == NEWTON_MAX_ITER:
+            raise NoConvergence("iteration limit reached", vals, nrm)
+        jac = [[0.0] * k for _ in range(k)]
+        try:
+            for j in range(k):
+                h = 1e-7 * (1.0 + abs(vals[j]))
+                up, dn = list(vals), list(vals)
+                up[j] += h
+                dn[j] -= h
+                for i, (u, d) in enumerate(zip(g(up), g(dn))):
+                    jac[i][j] = (u - d) / (2 * h)
+            step = _gauss_solve(jac, list(gv))
+        except DomainFault:
+            step = None
+        for _ in range(0 if step is None else 40):
+            trial = [v - s for v, s in zip(vals, step)]
             try:
                 gt = g(trial)
             except DomainFault:
-                lam *= 0.5
-                continue
-            if float(np.max(np.abs(gt))) < nrm or float(np.max(np.abs(gt))) < tol:
+                gt = [math.inf]
+            nt = max(map(abs, gt))
+            if nt < nrm or nt < NEWTON_TOL:
+                if k == 1 and (gv[0] > 0) != (gt[0] > 0):
+                    lo_hi = (vals[0], gv[0], trial[0])
                 vals, gv = trial, gt
                 break
-            lam *= 0.5
+            step = [s * 0.5 for s in step]
         else:
-            raise NoConvergence("damping failed", vals, nrm)
-    raise NoConvergence("iteration limit reached", vals, float(np.max(np.abs(gv))))
+            if lo_hi is None:
+                raise NoConvergence("Newton stalled without a bracket", vals, nrm)
+            a, fa, b = lo_hi
+            for _ in range(200):
+                m = 0.5 * (a + b)
+                fm = g([m])[0]
+                if abs(fm) < NEWTON_TOL:
+                    return [m]
+                if (fa > 0) != (fm > 0):
+                    b = m
+                else:
+                    a, fa = m, fm
+            raise NoConvergence("bisection did not converge", [0.5 * (a + b)], fm)
+
+
+def solve_implicit(res: Expr, unknown, point, binding: ParameterBinding | None = None,
+                   guess: float = 0.0, bracket=None) -> float:
+    """The root of the scalar relation ``res == 0`` in ``unknown``: a
+    one-unknown :func:`newton_system` solve."""
+    return newton_system([res], [unknown], point, binding, [guess], bracket)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +377,7 @@ def _solve_solution_at(sol: SolutionForm, point, binding) -> float:
         return eval_numeric(expr, point, binding)
     p = dict(point)
     for unknown, res, guess, bracket in sol.relations:
-        if callable(guess):
-            g = guess(p, binding)
-        else:
-            g = guess
-        br = bracket(p, binding) if callable(bracket) else bracket
-        p[unknown] = solve_implicit(res, unknown, p, binding, guess=g, bracket=br)
+        p[unknown] = solve_implicit(res, unknown, p, binding, guess, bracket)
     return p[sol.relations[-1][0]]
 
 

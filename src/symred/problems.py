@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .expr import (
-    Expr, Jet, Num, OpaqueInstance, Param, ParameterBinding, Var, simplify,
-)
+from .expr import Jet, OpaqueInstance, Param, ParameterBinding, Var
 from .jets import CanonicalOperator, JetSpace, VectorField
 from .numeric import SamplePlan, SolutionForm, quadrature_instance
 from .parser import (
@@ -176,13 +174,6 @@ class ProblemBundle:
             return self.reduced[name]
         raise KeyError(name)
 
-    def all_names(self):
-        out = []
-        for d in (self.equations, self.operators, self.ansatzes, self.reduced,
-                  self.solutions, self.backlunds, self.overdetermined):
-            out.extend(d.keys())
-        return out
-
 
 # ---------------------------------------------------------------------------
 
@@ -210,11 +201,14 @@ def _split_sections(text: str):
     return sections
 
 
-def _parse_float(text: str, ln: int) -> float:
+def _parse_float(text: str, ln: int, kind=float):
+    """``text`` as a ``kind`` (float or int); a ParseError naming line
+    ``ln`` if it is not one."""
     try:
-        return float(text.strip())
+        return kind(text.strip())
     except ValueError:
-        raise ParseError(f"expected a number, got {text.strip()!r}", ln)
+        noun = "an integer" if kind is int else "a number"
+        raise ParseError(f"expected {noun}, got {text.strip()!r}", ln)
 
 
 def _parse_range(text: str, ln: int):
@@ -224,12 +218,21 @@ def _parse_range(text: str, ln: int):
     return _parse_float(lo, ln), _parse_float(hi, ln)
 
 
+def _parse_unknown(decl: str, ln: int):
+    """``phi1(w1, w2)`` -> ("phi1", ("w1", "w2"))."""
+    decl = decl.replace(" ", "")
+    if "(" not in decl or not decl.endswith(")"):
+        raise MalformedSection("unknown declaration must look like phi1(w)", ln)
+    pname, args = decl[:-1].split("(", 1)
+    return pname, tuple(a for a in args.split(",") if a)
+
+
 def _parse_constraint(text: str, ctx: SymbolContext, ln: int) -> Constraint:
     for rel in _REL_TOKENS:
         if rel in text:
             lhs, rhs = text.split(rel, 1)
             e = parse_expression(lhs, ctx, ln) - parse_expression(rhs, ctx, ln)
-            return Constraint(simplify(e), rel)
+            return Constraint(e, rel)
     raise ParseError("constraint needs a relation (!=, >=, <=, >, <)", ln)
 
 
@@ -448,12 +451,8 @@ class _Loader:
             key = parts[0]
             rest = parts[1] if len(parts) > 1 else ""
             if key == "unknown":
-                decl = rest.replace(" ", "")
-                if "(" not in decl or not decl.endswith(")"):
-                    raise MalformedSection(
-                        "unknown declaration must look like phi1(w)", ln)
-                pname, args = decl[:-1].split("(", 1)
-                phis[pname] = tuple(a for a in args.split(",") if a)
+                pname, args = _parse_unknown(rest, ln)
+                phis[pname] = args
             elif key == "where":
                 where_lines.append((ln, rest))
             elif key == "constraint":
@@ -520,12 +519,12 @@ class _Loader:
         eq_lines, constraint_lines = [], []
         for ln, line in lines:
             parts = line.split(None, 1)
+            rest = parts[1] if len(parts) > 1 else ""
             if parts[0] == "unknown":
-                decl = parts[1].replace(" ", "")
-                pname, args = decl[:-1].split("(", 1)
-                phis[pname] = tuple(a for a in args.split(",") if a)
+                pname, args = _parse_unknown(rest, ln)
+                phis[pname] = args
             elif parts[0] == "constraint":
-                constraint_lines.append((ln, parts[1]))
+                constraint_lines.append((ln, rest))
             else:
                 eq_lines.append((ln, line))
         ctx = SymbolContext(
@@ -563,9 +562,10 @@ class _Loader:
                     raise ParseError("bind needs 'name = value'", ln)
                 bname, val = (p.strip() for p in rest.split("=", 1))
                 if bname in self.functions:
-                    vp = val.split()
+                    vp = val.split() or [""]
                     if vp[0] == "const":
-                        spec.fn_binds[bname] = ("const", _parse_float(vp[1], ln))
+                        spec.fn_binds[bname] = ("const",
+                                                _parse_float(" ".join(vp[1:]), ln))
                     elif vp[0] in ("sin", "cos", "exp"):
                         spec.fn_binds[bname] = (vp[0],)
                     else:
@@ -573,25 +573,24 @@ class _Loader:
                             f"function binding must be sin, cos, exp, or const", ln)
                 else:
                     spec.binds[bname] = _parse_float(val, ln)
-            elif key == "box":
+            elif key in ("box", "bracket", "guess"):
+                form = "value" if key == "guess" else "lo .. hi"
                 if "=" not in rest:
-                    raise ParseError("box needs 'var = lo .. hi'", ln)
-                vname, rng = rest.split("=", 1)
-                spec.box[vname.strip()] = _parse_range(rng, ln)
-            elif key == "bracket":
-                vname, rng = rest.split("=", 1)
-                spec.brackets[vname.strip()] = _parse_range(rng, ln)
-            elif key == "guess":
-                vname, val = rest.split("=", 1)
-                spec.guesses[vname.strip()] = _parse_float(val, ln)
+                    raise ParseError(f"{key} needs 'var = {form}'", ln)
+                vname, val = (p.strip() for p in rest.split("=", 1))
+                if key == "guess":
+                    spec.guesses[vname] = _parse_float(val, ln)
+                else:
+                    ranges = spec.box if key == "box" else spec.brackets
+                    ranges[vname] = _parse_range(val, ln)
             elif key == "grid":
-                spec.grid = tuple(int(p) for p in rest.split())
+                spec.grid = tuple(_parse_float(p, ln, int) for p in rest.split())
             elif key == "h":
                 spec.h = _parse_float(rest, ln)
             elif key == "n":
-                spec.n = int(rest.strip())
+                spec.n = _parse_float(rest, ln, int)
             elif key == "seed":
-                spec.seed = int(rest.strip())
+                spec.seed = _parse_float(rest, ln, int)
             elif key == "tol":
                 spec.tol = _parse_float(rest, ln)
             elif key == "expect":
@@ -617,9 +616,9 @@ class _Loader:
                 spec.constraints.append(_parse_constraint(rest, ctx, ln))
             elif key == "quadrature":
                 # "quadrature I(s) = <integrand in s> from <lower>"
-                head, expr_text = rest.split("=", 1)
+                head, eq, expr_text = rest.partition("=")
                 head = head.replace(" ", "")
-                if "(" not in head or not head.endswith(")"):
+                if not eq or "(" not in head or not head.endswith(")"):
                     raise MalformedSection(
                         "quadrature declaration must look like I(s) = ...", ln)
                 qname, qvar = head[:-1].split("(", 1)
@@ -712,10 +711,12 @@ class _Loader:
             if key == "constraint":
                 constraints.append(_parse_constraint(rest, ctx, ln))
             elif key == "box":
+                if "=" not in rest:
+                    raise ParseError("box needs 'var = lo .. hi'", ln)
                 vname, rng = rest.split("=", 1)
                 box[vname.strip()] = _parse_range(rng, ln)
             elif key == "n":
-                n = int(rest.strip())
+                n = _parse_float(rest, ln, int)
             elif key == "expect":
                 expect = _expect(rest, ln)
             else:

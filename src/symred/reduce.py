@@ -19,7 +19,7 @@ from .expr import (
     Add, DomainFault, Expr, Jet, Mul, Num, ONE, Param,
     ParameterBinding, Var,
     ZERO, add, atoms, diff_partial, eval_with_scale, expand, mul, pow_,
-    simplify, substitute,
+    substitute,
 )
 from .jets import JetSpace, total_derivative
 from .linalg import SingularImplicitSystem, gaussian_eliminate
@@ -103,9 +103,8 @@ def ansatz_derivatives(a: Ansatz) -> AnsatzFrame:
             eqs = [holders[w] - total_derivative(defs[w], x, tmp_js) for w in ws]
             solution, _, pivots = gaussian_eliminate(eqs, [holders[w] for w in ws])
             for w in ws:
-                chains[w][x] = simplify(solution[holders[w]])
+                chains[w][x] = solution[holders[w]]
             for p in pivots:
-                p = simplify(p)
                 if not isinstance(p, Num) and p not in pivot_seen:
                     pivot_seen.add(p)
                     constraints.append(Constraint(p, "!="))
@@ -167,17 +166,17 @@ def _coefficient_split(r: Expr, elim):
         cold = [f for f in factors if not _touches(f, elim)]
         key = mul(*hot) if hot else ONE
         groups.setdefault(key, []).append(mul(*cold) if cold else ONE)
-    return {k: simplify(add(*v)) for k, v in groups.items()}
+    return {k: add(*v) for k, v in groups.items()}
 
 
 def _solve_linear(c: Expr, lead: Jet):
     """Solve a linear equation ``c == 0`` for ``lead``; returns
     (rhs, pivot) or None if c is not linear in lead."""
-    d = simplify(diff_partial(c, lead))
+    d = diff_partial(c, lead)
     if d == ZERO or substitute(d, {lead: ZERO}) != d:
         return None
     rem = substitute(c, {lead: ZERO})
-    rhs = simplify(mul(Num(-1), rem, pow_(d, Num(-1))))
+    rhs = mul(Num(-1), rem, pow_(d, Num(-1)))
     return rhs, d
 
 
@@ -222,11 +221,11 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
                 if (isinstance(s, Var) and s.name in elim_vars) or
                 (isinstance(s, Jet) and s.dep in orig_deps)}
         r = sqrt_pythagoras(r, a.nonneg)
-        r = expand(simplify(expand_trig(r, elim)))
+        r = expand(expand_trig(r, elim))
         # even cosine powers only appear once products are distributed,
         # and reducing them introduces new products, so alternate
         for _ in range(8):
-            nxt = expand(simplify(reduce_even_cosines(r, elim)))
+            nxt = expand(reduce_even_cosines(r, elim))
             if nxt == r:
                 break
             r = nxt
@@ -235,7 +234,6 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
                 (isinstance(s, Jet) and s.dep in orig_deps)}
         for _, coeff in sorted(_coefficient_split(r, elim).items(),
                                  key=lambda kv: repr(kv[0])):
-            coeff = simplify(coeff)
             if coeff == ZERO:
                 continue
             if isinstance(coeff, Num):
@@ -396,7 +394,6 @@ def check_overdetermined(assignments, js: JetSpace, seed: int = 0,
         for x in args:
             eqs.append(lhs.lift(x) - total_derivative(rhs, x, js))
     solution, leftovers, _ = gaussian_eliminate(eqs, unknowns)
-    leftovers = [simplify(lo) for lo in leftovers]
     leftovers = [lo for lo in leftovers if lo != ZERO]
     if not leftovers:
         return combine([("compatibility", Result(ZERO_VERDICT))], seed,

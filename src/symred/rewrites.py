@@ -10,8 +10,8 @@ symbols can be separated out (used by the reduction deriver).
 from __future__ import annotations
 
 from .expr import (
-    Add, Expr, Func, HALF, Mul, Num, ONE, Pow, ZERO, add, atoms, children,
-    func, mul, pow_, rebuild, simplify,
+    Add, Expr, Func, Mul, Num, ONE, Pow, ZERO, add, atoms, children,
+    func, mul, pow_, rebuild,
 )
 
 
@@ -117,7 +117,7 @@ def reduce_even_cosines(e: Expr, symbols) -> Expr:
         return x
 
     for _ in range(8):
-        nxt = simplify(step(e))
+        nxt = step(e)
         if nxt == e:
             return e
         e = nxt

@@ -9,7 +9,6 @@ from .expr import (
     Expr, ExprError, IterationCapExceeded, Jet, atoms, contains, substitute,
 )
 from .jets import JetSpace, total_derivative_multi
-from .zerotest import Constraint
 
 
 class ConflictingConstraints(ExprError):

@@ -1,8 +1,8 @@
 """Probabilistic zero testing.
 
 Symbolic normalization is best-effort, so identity checking falls back
-to seeded random evaluation: simplify first, and if the result is not
-the literal 0, sample points inside the declared domain constraints and
+to seeded random evaluation: if the normalized expression is not the
+literal 0, sample points inside the declared domain constraints and
 compare against a mixed absolute/relative tolerance.  Opaque function
 symbols are instantiated per sample point as random polynomials with an
 exact derivative chain, so identities that hold for arbitrary smooth F
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .expr import (
     DomainFault, Expr, Jet, Num, Param, ParameterBinding, OpaqueInstance,
-    atoms, eval_with_scale, opaque_names, simplify,
+    atoms, eval_with_scale, opaque_names,
 )
 
 ZERO_VERDICT = "zero"
@@ -172,7 +172,11 @@ def is_zero(e: Expr, constraints=(), seed: int = 0, n: int = 64,
             tol_abs: float = 1e-9, tol_rel: float = 1e-9,
             retry_budget: int = 1024, binding: ParameterBinding | None = None,
             box=None) -> Result:
-    """Decide whether ``e`` vanishes identically on the constrained domain."""
+    """Decide whether ``e`` vanishes identically on the constrained domain.
+
+    ``e`` must be normalized, as every tree built by the constructors
+    (``add``, ``mul``, ``pow_``, ...) or the parser is; pass a hand-built
+    tree through ``simplify`` first."""
     binding = binding or ParameterBinding()
     tested = 0
 
@@ -180,7 +184,6 @@ def is_zero(e: Expr, constraints=(), seed: int = 0, n: int = 64,
         return Result(verdict, provenance, points_tested=tested, seed=seed,
                       tol_abs=tol_abs, tol_rel=tol_rel, **kw)
 
-    e = simplify(e)
     if isinstance(e, Num):
         if e.value == 0:
             return result(ZERO_VERDICT, "symbolic")

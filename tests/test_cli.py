@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from symred.cli import main
+from symred.cli import main, run_suite
+from symred.problems import load_problem
 
 DATA = resources.files("symred") / "data"
 
@@ -245,3 +246,22 @@ def test_empty_seed_range_is_a_usage_fault(capsys):
     assert code == 3
     assert out == ""
     assert "empty seed range" in err
+
+
+def test_error_rows_carry_the_tolerances_their_check_would_use(capsys,
+                                                                 tmp_path):
+    # a solution row: the path's default tolerance, relative 0
+    _, out, _ = run(capsys, "verify", path("eq4"), "--solution", "eq5",
+                    "--fd", "--format", "json-lines")
+    row = json.loads(out)
+    assert row["verdict"] == "error"
+    assert row["tolerances"] == {"abs": 1e-4, "rel": 0.0}
+    # a check row: the zero-test default for both
+    bundle = tmp_path / "two_deps.prob"
+    bundle.write_text("[space]\nindependent x t\ndependent u(x,t)\n"
+                      "dependent v(x,t)\n\n[overdetermined pair]\n"
+                      "u[x] = v\nv[t] = u\n", encoding="utf-8")
+    [row] = run_suite(load_problem(bundle), seed=0)
+    assert row["verdict"] == "error"
+    assert "single dependent" in row["detail"]
+    assert row["tolerances"] == {"abs": 1e-9, "rel": 1e-9}

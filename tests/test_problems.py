@@ -1,7 +1,7 @@
 import pytest
 
 from symred.expr import Jet, Num, Param, Var, func
-from symred.parser import UndeclaredSymbol, print_equation
+from symred.parser import ParseError, UndeclaredSymbol, print_equation
 from symred.problems import (
     DuplicateName, MalformedSection, parse_problem,
 )
@@ -74,6 +74,31 @@ def test_error_reports_line_number():
     with pytest.raises(Exception) as exc:
         parse_problem(bad)
     assert getattr(exc.value, "line", None) is not None
+
+
+@pytest.mark.parametrize("section, bad", [
+    ("[reduced r]", "unknown phi"),
+    ("[reduced r]", "unknown"),
+    ("[solution s]", "bracket u 0 .. 1"),
+    ("[solution s]", "guess u 0.5"),
+    ("[solution s]", "grid 5 x"),
+    ("[solution s]", "n many"),
+    ("[solution s]", "seed 1.5"),
+    ("[solution s]", "bind F = const"),
+    ("[solution s]", "quadrature I(s) from 0"),
+    ("[overdetermined o]", "box x1 0 .. 1"),
+    ("[overdetermined o]", "n many"),
+])
+def test_malformed_line_is_a_parse_error_naming_it(section, bad):
+    head = MINI.replace("[params]\n", "[params]\nfunction F\n") + \
+        f"\n{section}\n"
+    body = {"[reduced r]": "phi[x1] = 0\n",
+            "[solution s]": "kind explicit\nof heat\nu = x1\n",
+            "[overdetermined o]": "u[x1] = u\n"}[section]
+    text = head + bad + "\n" + body
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert exc.value.line == head.count("\n") + 1
 
 
 def test_comments_and_blank_lines_ignored():

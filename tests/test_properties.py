@@ -64,6 +64,13 @@ def test_simplify_idempotent(e):
     assert simplify(s) == s
 
 
+@settings(max_examples=300, deadline=None)
+@given(exprs(depth=4))
+def test_constructors_build_normalized_trees(e):
+    # why the library never re-normalizes a tree it built
+    assert simplify(e) == e
+
+
 @settings(max_examples=120, deadline=None)
 @given(exprs(), sample_points())
 def test_simplify_preserves_value(e, pt):
