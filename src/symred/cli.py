@@ -223,12 +223,15 @@ def _exit_code(records, honor_expect: bool = False) -> int:
 
 
 def _parse_seeds(text: str):
-    if ".." in text:
-        lo, hi = (int(t) for t in text.split("..", 1))
-        if lo > hi:
-            raise UsageFault(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise UsageFault(f"--seed takes N or LO..HI, not {text!r}") from None
+    if lo > hi:
+        raise UsageFault(f"empty seed range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _header(seeds, tol, fmt: str, stream) -> None:

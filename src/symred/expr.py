@@ -50,15 +50,16 @@ _KIND_ADD = 8
 class Expr:
     """Base class; all nodes are immutable and hashable.
 
-    Nodes are slotted.  Besides its fields, a node has two cache slots,
-    set with ``object.__setattr__`` and unset until first use: its hash,
-    computed the first time it is asked for, and the tape
-    :func:`eval_with_scale` runs, built the first time the node is
-    evaluated.  Both live as long as the node does.  Pickling keeps only
-    the fields.
+    Nodes are slotted.  Besides its fields, a node has three cache
+    slots, set with ``object.__setattr__`` and unset until first use:
+    ``_hash``, its hash, computed the first time it is asked for;
+    ``_key``, its :func:`sort_key`, which holds its children's keys; and
+    ``_tape``, the tape :func:`eval_with_scale` runs, built the first
+    time the node is evaluated.  All three live as long as the node
+    does.  Pickling keeps only the fields.
     """
 
-    __slots__ = ("_hash", "_tape")
+    __slots__ = ("_hash", "_tape", "_key")
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -235,25 +236,35 @@ def rational(p, q) -> Num:
 # total order on nodes
 
 def sort_key(e: Expr):
+    """The node's place in the total order.  Computed once per node and
+    then read from its ``_key`` slot; a parent's key holds its
+    children's key tuples."""
+    try:
+        return e._key
+    except AttributeError:
+        pass
     if isinstance(e, Num):
-        return (_KIND_NUM, e.value)
-    if isinstance(e, Var):
-        return (_KIND_VAR, e.name)
-    if isinstance(e, Param):
-        return (_KIND_PARAM, e.name)
-    if isinstance(e, Jet):
-        return (_KIND_JET, e.dep, e.index)
-    if isinstance(e, Func):
-        return (_KIND_FUNC, e.name, sort_key(e.arg))
-    if isinstance(e, Opaque):
-        return (_KIND_OPAQUE, e.name, e.order, sort_key(e.arg))
-    if isinstance(e, Pow):
-        return (_KIND_POW, sort_key(e.base), sort_key(e.exp))
-    if isinstance(e, Mul):
-        return (_KIND_MUL, tuple(sort_key(f) for f in e.factors))
-    if isinstance(e, Add):
-        return (_KIND_ADD, tuple(sort_key(t) for t in e.terms))
-    raise TypeError(type(e))
+        key = (_KIND_NUM, e.value)
+    elif isinstance(e, Var):
+        key = (_KIND_VAR, e.name)
+    elif isinstance(e, Param):
+        key = (_KIND_PARAM, e.name)
+    elif isinstance(e, Jet):
+        key = (_KIND_JET, e.dep, e.index)
+    elif isinstance(e, Func):
+        key = (_KIND_FUNC, e.name, sort_key(e.arg))
+    elif isinstance(e, Opaque):
+        key = (_KIND_OPAQUE, e.name, e.order, sort_key(e.arg))
+    elif isinstance(e, Pow):
+        key = (_KIND_POW, sort_key(e.base), sort_key(e.exp))
+    elif isinstance(e, Mul):
+        key = (_KIND_MUL, tuple(map(sort_key, e.factors)))
+    elif isinstance(e, Add):
+        key = (_KIND_ADD, tuple(map(sort_key, e.terms)))
+    else:
+        raise TypeError(type(e))
+    object.__setattr__(e, "_key", key)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -584,48 +595,52 @@ _fill_diff_table()
 
 def diff_partial(e: Expr, v: Expr) -> Expr:
     """Exact partial derivative treating every jet coordinate as an
-    independent symbol.  ``v`` must be a Var, Param, or Jet."""
+    independent symbol.  ``v`` must be a Var, Param, or Jet.
+
+    The derivative of each non-leaf node is memoised, keyed by node, for
+    the length of one call, so a subtree shared within ``e`` is
+    differentiated once."""
     if not isinstance(v, (Var, Param, Jet)):
         raise TypeError("differentiation variable must be Var, Param or Jet")
-    return _diff(e, v)
+    return _diff(e, v, {})
 
 
-def _diff(e: Expr, v: Expr) -> Expr:
-    if e == v:
-        return ONE
+def _diff(e: Expr, v: Expr, memo: dict) -> Expr:
     if isinstance(e, (Num, Var, Param, Jet)):
-        return ZERO
+        return ONE if e == v else ZERO
+    d = memo.get(e)
+    if d is not None:
+        return d
     if isinstance(e, Add):
-        return add(*(_diff(t, v) for t in e.terms))
-    if isinstance(e, Mul):
+        d = add(*(_diff(t, v, memo) for t in e.terms))
+    elif isinstance(e, Mul):
         parts = []
         fs = e.factors
         for i, f in enumerate(fs):
-            df = _diff(f, v)
+            df = _diff(f, v, memo)
             if df is ZERO or df == ZERO:
                 continue
             parts.append(mul(df, *(g for j, g in enumerate(fs) if j != i)))
-        return add(*parts) if parts else ZERO
-    if isinstance(e, Pow):
-        db = _diff(e.base, v)
-        de = _diff(e.exp, v)
+        d = add(*parts) if parts else ZERO
+    elif isinstance(e, Pow):
+        db = _diff(e.base, v, memo)
+        de = _diff(e.exp, v, memo)
         parts = []
         if db != ZERO:
             parts.append(mul(e.exp, pow_(e.base, add(e.exp, NUM_MINUS_ONE)), db))
         if de != ZERO:
             parts.append(mul(pow_(e.base, e.exp), func("ln", e.base), de))
-        return add(*parts) if parts else ZERO
-    if isinstance(e, Func):
-        da = _diff(e.arg, v)
-        if da == ZERO:
-            return ZERO
-        return mul(_DIFF_TABLE[e.name](e.arg), da)
-    if isinstance(e, Opaque):
-        da = _diff(e.arg, v)
-        if da == ZERO:
-            return ZERO
-        return mul(Opaque(e.name, e.arg, e.order + 1), da)
-    raise TypeError(type(e))
+        d = add(*parts) if parts else ZERO
+    elif isinstance(e, Func):
+        da = _diff(e.arg, v, memo)
+        d = ZERO if da == ZERO else mul(_DIFF_TABLE[e.name](e.arg), da)
+    elif isinstance(e, Opaque):
+        da = _diff(e.arg, v, memo)
+        d = ZERO if da == ZERO else mul(Opaque(e.name, e.arg, e.order + 1), da)
+    else:
+        raise TypeError(type(e))
+    memo[e] = d
+    return d
 
 
 def substitute(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
@@ -633,19 +648,23 @@ def substitute(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
     constructors.
 
     Rules are keyed by whole subexpressions (usually atoms); a rule's
-    replacement is not rescanned.
+    replacement is not rescanned.  The rebuilt form of each node is
+    memoised, keyed by node, for the length of one call, so a subtree
+    shared within ``e`` is rebuilt once.
     """
-    return _subst(e, rules) if rules else e
+    return _subst(e, dict(rules)) if rules else e
 
 
-def _subst(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
-    hit = rules.get(e)
-    if hit is not None:
-        return hit
+def _subst(e: Expr, memo: dict) -> Expr:
+    """``memo`` starts as the rules and gains each rebuilt node."""
+    out = memo.get(e)
+    if out is not None:
+        return out
     kids = children(e)
     if not kids:
         return e
-    return rebuild(e, (_subst(k, rules) for k in kids))
+    out = memo[e] = rebuild(e, (_subst(k, memo) for k in kids))
+    return out
 
 
 # ---------------------------------------------------------------------------

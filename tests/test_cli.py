@@ -248,6 +248,15 @@ def test_empty_seed_range_is_a_usage_fault(capsys):
     assert "empty seed range" in err
 
 
+@pytest.mark.parametrize("text", ["abc", "1..x", "1..2..3", ""])
+def test_malformed_seed_is_a_usage_fault_naming_the_flag(capsys, text):
+    code, out, err = run(capsys, "paper-suite", "--seed", text)
+    assert code == 3
+    assert out == ""
+    assert "--seed" in err and repr(text) in err
+    assert "invalid literal" not in err
+
+
 def test_error_rows_carry_the_tolerances_their_check_would_use(capsys,
                                                                  tmp_path):
     # a solution row: the path's default tolerance, relative 0

@@ -1,4 +1,6 @@
-"""The tape evaluator against the recursive walker it replaced, and the
+"""The fast kernel paths against the recursive walkers they replaced:
+the tape evaluator, the sort key each node stores on itself, and
+``diff_partial``/``substitute`` memoised over shared subtrees.  Also the
 hash each node stores on itself."""
 
 import math
@@ -10,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from symred.expr import (
     Add, DomainFault, Func, Jet, Mul, Num, Opaque, OpaqueInstance, Param,
-    ParameterBinding, Pow, Var, add, eval_numeric, eval_with_scale, func,
-    mul, opaque, pow_, subexpressions,
+    ParameterBinding, Pow, Var, add, diff_partial, eval_numeric,
+    eval_with_scale, func, mul, opaque, pow_, sort_key, subexpressions,
+    substitute,
 )
 
 import reference_eval
+import reference_kernel
 
 X1, X2, Z = Var("x1"), Var("x2"), Var("z")          # z is never bound
 U, UX = Jet("u"), Jet("u", (("x1", 1),))
@@ -181,8 +185,72 @@ def test_pickled_node_drops_its_caches():
     e = add(mul(X1, func("sin", X2)), Param("C"))
     eval_numeric(e, {X1: 1.0, X2: 2.0}, BINDING)
     hash(e)
+    sort_key(e)
+    assert all(hasattr(e, c) for c in ("_hash", "_tape", "_key"))
     back = pickle.loads(pickle.dumps(e))
     assert back == e
-    assert not hasattr(back, "_hash") and not hasattr(back, "_tape")
+    for n in subexpressions(back):
+        assert not any(hasattr(n, c) for c in ("_hash", "_tape", "_key"))
     assert eval_numeric(back, {X1: 1.0, X2: 2.0}, BINDING) == \
         eval_numeric(e, {X1: 1.0, X2: 2.0}, BINDING)
+
+
+def test_sort_key_is_computed_once_and_reused():
+    prod = mul(X1, X2)
+    sine = func("sin", prod)
+    e = add(prod, sine)
+    assert not hasattr(e, "_key")      # add sorts the terms, not the sum
+    key = sort_key(e)
+    assert e._key is key and sort_key(e) is key
+    # the key holds the children's cached keys, not copies of them
+    assert all(k is sort_key(t) for k, t in zip(key[1], e.terms))
+    assert sort_key(sine)[2] is sort_key(prod)
+    assert key == reference_kernel.sort_key(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes())
+def test_cached_sort_key_matches_reference(recipe):
+    a = build(recipe)
+    for n in subexpressions(a):        # fill a's caches before b exists
+        sort_key(n)
+    b = build(recipe)
+    want = reference_kernel.sort_key(b)
+    assert sort_key(a) == want and sort_key(b) == want
+    for n in subexpressions(b):
+        assert n._key == reference_kernel.sort_key(n)
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by class below
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes())
+def test_memoised_diff_matches_reference(recipe):
+    e = build(recipe)
+    for v in (X1, X2, Z, U, UX, C, D, E):
+        want = _result(reference_kernel.diff_partial, e, v)
+        got = _result(diff_partial, build(recipe), _fresh(v))
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes(), recipes(),
+       st.lists(st.sampled_from((X1, X2, Z, U, UX, C, D, E)), unique=True,
+                max_size=4),
+       st.integers(0, 10 ** 6))
+def test_memoised_substitute_matches_reference(recipe, other, leaves, pick):
+    e = build(recipe)
+    # atoms map to nodes of another shared tree; one rule may name a
+    # whole subexpression of e
+    subs = list(subexpressions(build(other)))
+    rules = {v: subs[(pick + i) % len(subs)] for i, v in enumerate(leaves)}
+    inner = list(subexpressions(e))
+    rules[inner[pick % len(inner)]] = Num(Fraction(5, 2))
+    want = _result(reference_kernel.substitute, e, rules)
+    got = _result(substitute, build(recipe), rules)
+    assert got == want
