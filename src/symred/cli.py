@@ -32,7 +32,7 @@ from .checks import check_classical, check_conditional, check_lie_backlund
 from .expr import ExprError
 from .jets import CanonicalOperator
 from .parser import ParseError, print_equation
-from .problems import ProblemBundle, load_problem
+from .problems import MODES, ProblemBundle, load_problem
 from .reduce import (
     check_overdetermined, derive_reduction, systems_equivalent,
     verify_backlund, verify_reduction,
@@ -100,6 +100,9 @@ def _call(check, seed: int, tol: float | None, *args, **kw) -> Result:
 
 def _run_operator(bundle: ProblemBundle, entry, seed: int,
                   tol: float | None, mode: str = "", expect: str = "") -> dict:
+    if not entry.on:
+        raise UsageFault(f"operator {entry.name!r} names no equation to check "
+                         f"(an 'on' line)")
     mode = mode or entry.mode
     if isinstance(entry.operator, CanonicalOperator) or mode == "lb":
         kind, check = "lie-backlund", check_lie_backlund
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--operator", action="append",
                    help="operator name (repeatable; default: all)")
-    p.add_argument("--mode", choices=("classical", "conditional", "lb"),
+    p.add_argument("--mode", choices=MODES,
                    default="", help="override the check mode")
     p.set_defaults(fn=cmd_check)
 

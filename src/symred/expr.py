@@ -501,37 +501,28 @@ def rebuild(e: Expr, kids: Iterable[Expr]) -> Expr:
     return e
 
 
-def atoms(e: Expr, kind=None) -> set:
-    """All Var/Param/Jet leaves (optionally filtered by class)."""
-    out = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, (Var, Param, Jet)):
-            if kind is None or isinstance(n, kind):
-                out.add(n)
-        else:
-            stack.extend(children(n))
-    return out
-
-
-def opaque_names(e: Expr) -> set:
-    out = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Opaque):
-            out.add(n.name)
-        stack.extend(children(n))
-    return out
-
-
 def subexpressions(e: Expr):
+    """Every node of ``e``, a subtree shared by several parents once.
+    Nodes are told apart by identity, so the walk hashes nothing."""
+    seen = {id(e)}
     stack = [e]
     while stack:
         n = stack.pop()
         yield n
-        stack.extend(children(n))
+        for k in children(n):
+            if id(k) not in seen:
+                seen.add(id(k))
+                stack.append(k)
+
+
+def atoms(e: Expr, kind=None) -> set:
+    """All Var/Param/Jet leaves (optionally filtered by class)."""
+    return {n for n in subexpressions(e) if isinstance(n, (Var, Param, Jet))
+            and (kind is None or isinstance(n, kind))}
+
+
+def opaque_names(e: Expr) -> set:
+    return {n.name for n in subexpressions(e) if isinstance(n, Opaque)}
 
 
 def contains(e: Expr, sub: Expr) -> bool:

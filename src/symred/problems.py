@@ -176,6 +176,29 @@ class ProblemBundle:
 
 
 # ---------------------------------------------------------------------------
+# the reader
+
+# The key words of each section kind.  A line of a section that starts
+# with none of them is an expression line, except in [space] and
+# [operator], which take key lines only.
+_KEYS = {
+    "space": ("independent", "dependent", "promote", "invariant"),
+    "params": ("function",),
+    "equation": ("constraint",),
+    "reduced": ("constraint", "unknown"),
+    "operator": ("type", "xi", "eta", "char", "mode", "on", "expect"),
+    "ansatz": ("unknown", "where", "constraint", "nonneg", "assume",
+               "original", "candidate", "derive", "expect"),
+    "solution": ("kind", "of", "unknown", "bind", "box", "bracket", "guess",
+                 "grid", "h", "n", "seed", "tol", "expect", "constraint",
+                 "relation", "quadrature"),
+    "backlund": ("source", "target", "constraint", "expect"),
+    "overdetermined": ("constraint", "box", "n", "expect"),
+}
+_KEYS_ONLY = ("space", "operator")
+
+MODES = ("classical", "conditional", "lb")
+
 
 def _split_sections(text: str):
     sections = []
@@ -201,7 +224,7 @@ def _split_sections(text: str):
     return sections
 
 
-def _parse_float(text: str, ln: int, kind=float):
+def _number(text: str, ln: int, kind=float):
     """``text`` as a ``kind`` (float or int); a ParseError naming line
     ``ln`` if it is not one."""
     try:
@@ -211,23 +234,35 @@ def _parse_float(text: str, ln: int, kind=float):
         raise ParseError(f"expected {noun}, got {text.strip()!r}", ln)
 
 
-def _parse_range(text: str, ln: int):
+def _integer(text: str, ln: int) -> int:
+    return _number(text, ln, int)
+
+
+def _range(text: str, ln: int):
     if ".." not in text:
         raise ParseError("range needs 'lo .. hi'", ln)
     lo, hi = text.split("..", 1)
-    return _parse_float(lo, ln), _parse_float(hi, ln)
+    return _number(lo, ln), _number(hi, ln)
 
 
-def _parse_unknown(decl: str, ln: int):
+def _one_name(text: str, ln: int, key: str) -> str:
+    names = text.split()
+    if len(names) != 1:
+        raise MalformedSection(f"{key} declares one name", ln)
+    return names[0]
+
+
+def _declaration(text: str, ln: int, key: str):
     """``phi1(w1, w2)`` -> ("phi1", ("w1", "w2"))."""
-    decl = decl.replace(" ", "")
+    decl = "".join(text.split())
     if "(" not in decl or not decl.endswith(")"):
-        raise MalformedSection("unknown declaration must look like phi1(w)", ln)
-    pname, args = decl[:-1].split("(", 1)
-    return pname, tuple(a for a in args.split(",") if a)
+        raise MalformedSection(
+            f"{key} declaration must look like name(arg, ...)", ln)
+    name, args = decl[:-1].split("(", 1)
+    return name, tuple(a for a in args.split(",") if a)
 
 
-def _parse_constraint(text: str, ctx: SymbolContext, ln: int) -> Constraint:
+def _constraint(text: str, ctx: SymbolContext, ln: int) -> Constraint:
     for rel in _REL_TOKENS:
         if rel in text:
             lhs, rhs = text.split(rel, 1)
@@ -236,11 +271,76 @@ def _parse_constraint(text: str, ctx: SymbolContext, ln: int) -> Constraint:
     raise ParseError("constraint needs a relation (!=, >=, <=, >, <)", ln)
 
 
-def _expect(value: str, ln: int) -> str:
-    value = value.strip()
-    if value not in ("pass", "fail"):
-        raise ParseError("expect takes 'pass' or 'fail'", ln)
-    return value
+def _choice(key: str, choices: tuple, fault=MalformedSection):
+    """A check for a ``key`` line whose value must be one of ``choices``."""
+    def check(text: str, ln: int) -> str:
+        value = text.strip()
+        if value not in choices:
+            raise fault(f"{key} takes " + " or ".join(map(repr, choices)), ln)
+        return value
+    return check
+
+
+class _Section:
+    """The lines of one section, read the same way for every kind.  A
+    line that starts with one of the kind's keys is filed as
+    ``(ln, rest)`` under that key; any other line is filed whole, as
+    ``(ln, line)``, under ``None``.  Each list keeps file order."""
+
+    def __init__(self, kind: str, lines):
+        self.lines: dict = {}
+        for ln, line in lines:
+            parts = line.split(None, 1)
+            key = parts[0]
+            if key in _KEYS[kind]:
+                rest = parts[1] if len(parts) > 1 else ""
+            elif kind in _KEYS_ONLY:
+                raise MalformedSection(f"unknown [{kind}] key {key!r}", ln)
+            else:
+                key, rest = None, line
+            self.lines.setdefault(key, []).append((ln, rest))
+
+    def get(self, key=None) -> list:
+        return self.lines.get(key, [])
+
+    def in_order(self, *keys) -> list:
+        """``(ln, key, rest)`` for the lines under ``keys``, in file order."""
+        return sorted((ln, key, rest) for key in keys
+                      for ln, rest in self.get(key))
+
+    def last(self, key: str, check=None, default=""):
+        """The value of the last ``key`` line, every one passed through
+        ``check(rest, ln)`` (or stripped); ``default`` without one."""
+        value = default
+        for ln, rest in self.get(key):
+            value = check(rest, ln) if check else rest.strip()
+        return value
+
+    def expect(self) -> str:
+        return self.last("expect", _choice("expect", ("pass", "fail"),
+                                           ParseError), "pass")
+
+    def named(self, key: str, form: str):
+        """``(ln, name, value)`` for each ``key name = value`` line."""
+        for ln, rest in self.get(key):
+            name, eq, value = rest.partition("=")
+            if not eq:
+                raise ParseError(f"{key} needs '{form}'", ln)
+            yield ln, name.strip(), value
+
+    def ranges(self, key: str) -> dict:
+        return {name: _range(value, ln)
+                for ln, name, value in self.named(key, "var = lo .. hi")}
+
+    def unknowns(self) -> dict:
+        return dict(_declaration(rest, ln, "unknown")
+                    for ln, rest in self.get("unknown"))
+
+    def constraints(self, ctx: SymbolContext) -> list:
+        return [_constraint(rest, ctx, ln) for ln, rest in self.get("constraint")]
+
+    def equations(self, ctx: SymbolContext) -> list:
+        return [parse_equation(line, ctx, ln) for ln, line in self.get()]
 
 
 class _Loader:
@@ -256,12 +356,15 @@ class _Loader:
         self.param_constraints: list = []
         self.seen_names: set = set()
 
-    def base_ctx(self) -> SymbolContext:
+    def context(self, independent=(), dependents=None, params=(),
+                functions=()) -> SymbolContext:
+        """The file's symbols, with a section's own added to them."""
         return SymbolContext(
-            independent=tuple(self.independent) + tuple(self.invariants),
-            params=tuple(self.params),
-            dependents=dict(self.dependents),
-            functions=tuple(self.functions))
+            independent=tuple(self.independent) + tuple(self.invariants) +
+            tuple(independent),
+            params=tuple(self.params) + tuple(params),
+            dependents={**self.dependents, **(dependents or {})},
+            functions=tuple(self.functions) + tuple(functions))
 
     def claim(self, name: str, ln: int):
         if name in self.seen_names:
@@ -269,16 +372,19 @@ class _Loader:
         self.seen_names.add(name)
 
     def load(self) -> ProblemBundle:
-        heads = [s[0][0] for s in self.sections]
-        if "space" not in heads:
+        spaces = [(ln, lines) for head, ln, lines in self.sections
+                  if head[0] == "space"]
+        if not spaces:
             raise MalformedSection("a [space] section is mandatory",
                                    self.sections[0][1])
-        for head, ln, lines in self.sections:
-            if head[0] == "space":
-                self._space(lines, ln)
+        if len(spaces) > 1:
+            raise MalformedSection("only one [space] section is allowed",
+                                   spaces[1][0])
+        ln, lines = spaces[0]
+        self._space(_Section("space", lines), ln)
         for head, ln, lines in self.sections:
             if head[0] == "params":
-                self._params(lines)
+                self._params(_Section("params", lines))
         if not self.independent:
             raise MalformedSection("[space] declares no independent variables",
                                    self.sections[0][1])
@@ -294,7 +400,7 @@ class _Loader:
             "equation": self._equation,
             "operator": self._operator,
             "ansatz": self._ansatz,
-            "reduced": self._reduced,
+            "reduced": lambda *a: self._equation(*a, reduced=True),
             "solution": self._solution,
             "backlund": self._backlund,
             "overdetermined": self._overdetermined,
@@ -308,30 +414,23 @@ class _Loader:
             if len(head) != 2:
                 raise MalformedSection(f"[{kind}] needs exactly one name", ln)
             self.claim(head[1], ln)
-            handlers[kind](bundle, head[1], lines, ln)
+            handlers[kind](bundle, head[1], _Section(kind, lines), ln)
         return bundle
 
     # -- declarations -------------------------------------------------------
 
-    def _space(self, lines, hln):
-        for ln, line in lines:
-            parts = line.split()
-            key = parts[0]
+    def _space(self, sec, hln):
+        for ln, key, rest in sec.in_order(*_KEYS["space"]):
             if key == "independent":
-                if len(parts) < 2:
+                if not rest:
                     raise MalformedSection("independent needs variable names", ln)
-                self.independent.extend(parts[1:])
+                self.independent.extend(rest.split())
             elif key == "dependent":
-                decl = "".join(parts[1:])
-                if "(" not in decl or not decl.endswith(")"):
-                    raise MalformedSection(
-                        "dependent declaration must look like u(x1,x2)", ln)
-                name, args = decl[:-1].split("(", 1)
-                self.dependents[name] = tuple(a for a in args.split(",") if a)
+                name, args = _declaration(rest, ln, key)
+                self.dependents[name] = args
             elif key == "promote":
                 # "promote u -> x3": treat the dependent u as an extra
                 # formally independent coordinate named x3
-                rest = line[len("promote"):].strip()
                 if "->" not in rest:
                     raise MalformedSection("promote needs 'dep -> var'", ln)
                 dep, var = (p.strip() for p in rest.split("->", 1))
@@ -340,280 +439,149 @@ class _Loader:
                 self.promotions[dep] = var
                 if var not in self.independent:
                     self.independent.append(var)
-            elif key == "invariant":
-                if len(parts) != 2:
-                    raise MalformedSection("invariant declares one name", ln)
-                self.invariants.append(parts[1])
             else:
-                raise MalformedSection(f"unknown [space] key {key!r}", ln)
+                self.invariants.append(_one_name(rest, ln, key))
         for dep, args in self.dependents.items():
             for a in args:
                 if a not in self.independent and a not in self.invariants:
                     raise UndeclaredSymbol(
                         f"dependent {dep!r} uses undeclared argument {a!r}", hln)
 
-    def _params(self, lines):
-        for ln, line in lines:
-            parts = line.split()
-            if parts[0] == "function":
-                if len(parts) != 2:
-                    raise MalformedSection("function declares one name", ln)
-                self.functions.append(parts[1])
-                continue
-            name = parts[0]
+    def _params(self, sec):
+        self.functions += [_one_name(rest, ln, "function")
+                           for ln, rest in sec.get("function")]
+        for ln, line in sec.get():
+            name = line.split()[0]
             self.params.append(name)
-            rest = line[len(name):].strip()
-            if rest:
+            if line[len(name):].strip():
                 ctx = SymbolContext(params=tuple(self.params))
-                self.param_constraints.append(_parse_constraint(line, ctx, ln))
+                self.param_constraints.append(_constraint(line, ctx, ln))
 
     # -- named sections -----------------------------------------------------
 
-    def _equation(self, bundle, name, lines, hln):
-        ctx = self.base_ctx()
-        equations, constraints = [], []
-        for ln, line in lines:
-            if line.startswith("constraint "):
-                constraints.append(_parse_constraint(line[len("constraint"):],
-                                                     ctx, ln))
-            else:
-                equations.append(parse_equation(line, ctx, ln))
+    def _equation(self, bundle, name, sec, hln, reduced=False):
+        """[equation] and [reduced]: a reduced system declares its own
+        unknowns, and the parameter constraints attach to equations only."""
+        phis = sec.unknowns()
+        ctx = self.context(dependents=phis)
+        equations = sec.equations(ctx)
+        constraints = sec.constraints(ctx)
         if not equations:
-            raise MalformedSection(f"[equation {name}] has no equations", hln)
+            kind = "reduced" if reduced else "equation"
+            raise MalformedSection(f"[{kind} {name}] has no equations", hln)
+        if not reduced:
+            constraints += self.param_constraints
         js = JetSpace(tuple(self.independent) + tuple(self.invariants),
-                      dict(self.dependents))
-        bundle.equations[name] = EquationSystem(
-            js, equations, tuple(constraints) + tuple(self.param_constraints),
-            name=name)
+                      {**self.dependents, **phis})
+        systems = bundle.reduced if reduced else bundle.equations
+        systems[name] = EquationSystem(js, equations, constraints, name=name)
 
-    def _operator(self, bundle, name, lines, hln):
-        ctx = self.base_ctx()
-        otype = None
-        xi, eta, char = {}, {}, {}
-        mode, on, expect = "", "", "pass"
-        for ln, line in lines:
-            parts = line.split(None, 1)
-            key = parts[0]
-            rest = parts[1] if len(parts) > 1 else ""
-            if key == "type":
-                otype = rest.strip()
-            elif key in ("xi", "eta", "char"):
-                if "=" not in rest:
-                    raise ParseError(f"{key} line needs 'name = expression'", ln)
-                target, expr_text = rest.split("=", 1)
-                target = target.strip()
-                expr = parse_expression(expr_text, ctx, ln)
-                if key == "xi":
-                    if target not in self.independent:
-                        raise UndeclaredSymbol(
-                            f"xi component for unknown variable {target!r}", ln)
-                    xi[target] = expr
-                elif key == "eta":
-                    if target not in self.dependents:
-                        raise UndeclaredSymbol(
-                            f"eta component for unknown dependent {target!r}", ln)
-                    eta[target] = expr
-                else:
-                    if target not in self.dependents:
-                        raise UndeclaredSymbol(
-                            f"characteristic for unknown dependent {target!r}", ln)
-                    char[target] = expr
-            elif key == "mode":
-                mode = rest.strip()
-            elif key == "on":
-                on = rest.strip()
-            elif key == "expect":
-                expect = _expect(rest, ln)
-            else:
-                raise MalformedSection(f"unknown [operator] key {key!r}", ln)
+    def _operator(self, bundle, name, sec, hln):
+        ctx = self.context()
+        parts = {}
+        for key, known, what in (
+                ("xi", self.independent, "xi component for unknown variable"),
+                ("eta", self.dependents, "eta component for unknown dependent"),
+                ("char", self.dependents, "characteristic for unknown dependent")):
+            parts[key] = {}
+            for ln, target, text in sec.named(key, "name = expression"):
+                expr = parse_expression(text, ctx, ln)
+                if target not in known:
+                    raise UndeclaredSymbol(f"{what} {target!r}", ln)
+                parts[key][target] = expr
+        mode = sec.last("mode", _choice("mode", MODES))
+        expect = sec.expect()
+        otype = sec.last("type", default=None)
         if otype == "point":
-            op = VectorField(xi, eta, name=name)
+            op = VectorField(parts["xi"], parts["eta"], name=name)
         elif otype == "canonical":
-            op = CanonicalOperator(char, name=name)
+            op = CanonicalOperator(parts["char"], name=name)
         else:
             raise MalformedSection(
                 f"[operator {name}] needs 'type point' or 'type canonical'", hln)
+        on = sec.last("on")
         if on and on not in bundle.equations:
             raise UndeclaredSymbol(f"operator {name!r} targets unknown equation "
                                    f"{on!r}", hln)
         bundle.operators[name] = OperatorEntry(name, op, mode=mode, on=on,
                                                expect=expect)
 
-    def _ansatz(self, bundle, name, lines, hln):
-        phis: dict = {}
-        invariants: dict = {}
-        where_lines, target_lines, constraint_lines, nonneg_lines = [], [], [], []
-        positive = False
-        derive = False
-        original, candidate, expect = "", "", "pass"
-        for ln, line in lines:
-            parts = line.split(None, 1)
-            key = parts[0]
-            rest = parts[1] if len(parts) > 1 else ""
-            if key == "unknown":
-                pname, args = _parse_unknown(rest, ln)
-                phis[pname] = args
-            elif key == "where":
-                where_lines.append((ln, rest))
-            elif key == "constraint":
-                constraint_lines.append((ln, rest))
-            elif key == "nonneg":
-                nonneg_lines.append((ln, rest))
-            elif key == "assume":
-                if rest.strip() != "positive":
-                    raise MalformedSection("only 'assume positive' is supported", ln)
-                positive = True
-            elif key == "original":
-                original = rest.strip()
-            elif key == "candidate":
-                candidate = rest.strip()
-            elif key == "derive":
-                derive = True
-            elif key == "expect":
-                expect = _expect(rest, ln)
-            else:
-                target_lines.append((ln, line))
-        local_invariants = []
-        for ln, rest in where_lines:
-            if "=" not in rest:
-                raise ParseError("where clause needs 'w = expression'", ln)
-            wname = rest.split("=", 1)[0].strip()
-            local_invariants.append(wname)
+    def _ansatz(self, bundle, name, sec, hln):
+        phis = sec.unknowns()
+        positive = bool(sec.last("assume", _choice("assume", ("positive",))))
+        expect = sec.expect()
+        wheres = list(sec.named("where", "w = expression"))
+        local = [w for _, w, _ in wheres if w not in self.invariants]
         for pname, args in phis.items():
             for a in args:
                 if a not in self.independent and a not in self.invariants and \
-                        a not in local_invariants:
+                        a not in local:
                     raise UndeclaredSymbol(
                         f"unknown {pname!r} uses undeclared argument {a!r}", hln)
-        ctx = SymbolContext(
-            independent=tuple(self.independent) + tuple(self.invariants) +
-            tuple(w for w in local_invariants if w not in self.invariants),
-            params=tuple(self.params),
-            dependents={**self.dependents, **phis},
-            functions=tuple(self.functions))
-        for ln, rest in where_lines:
-            wname, expr_text = rest.split("=", 1)
-            invariants[wname.strip()] = parse_expression(expr_text, ctx, ln)
-        targets = [parse_equation(line, ctx, ln) for ln, line in target_lines]
-        constraints = [_parse_constraint(rest, ctx, ln)
-                       for ln, rest in constraint_lines]
-        nonneg = [parse_expression(rest, ctx, ln) for ln, rest in nonneg_lines]
+        ctx = self.context(independent=local, dependents=phis)
+        invariants = {w: parse_expression(text, ctx, ln)
+                      for ln, w, text in wheres}
+        targets = sec.equations(ctx)
+        constraints = sec.constraints(ctx)
+        nonneg = [parse_expression(rest, ctx, ln) for ln, rest in sec.get("nonneg")]
         if not targets:
             raise MalformedSection(f"[ansatz {name}] assigns nothing", hln)
         if not phis:
             raise MalformedSection(f"[ansatz {name}] declares no unknowns", hln)
-        js = JetSpace(tuple(self.independent), dict(self.dependents))
-        ansatz = Ansatz(js=js, targets=targets, phis=phis, invariants=invariants,
-                        constraints=tuple(constraints) +
-                        tuple(self.param_constraints),
+        ansatz = Ansatz(js=bundle.space, targets=targets, phis=phis,
+                        invariants=invariants,
+                        constraints=tuple(constraints + self.param_constraints),
                         positive=positive, nonneg=tuple(nonneg), name=name)
+        original = sec.last("original")
         if original and original not in bundle.equations:
             raise UndeclaredSymbol(f"ansatz {name!r} references unknown equation "
                                    f"{original!r}", hln)
-        bundle.ansatzes[name] = AnsatzEntry(name, ansatz, original=original,
-                                            candidate=candidate, derive=derive,
-                                            expect=expect)
+        bundle.ansatzes[name] = AnsatzEntry(
+            name, ansatz, original=original, candidate=sec.last("candidate"),
+            derive=bool(sec.get("derive")), expect=expect)
 
-    def _reduced(self, bundle, name, lines, hln):
-        phis: dict = {}
-        eq_lines, constraint_lines = [], []
-        for ln, line in lines:
-            parts = line.split(None, 1)
-            rest = parts[1] if len(parts) > 1 else ""
-            if parts[0] == "unknown":
-                pname, args = _parse_unknown(rest, ln)
-                phis[pname] = args
-            elif parts[0] == "constraint":
-                constraint_lines.append((ln, rest))
+    def _solution(self, bundle, name, sec, hln):
+        spec = SolutionSpec(name=name, of=sec.last("of"),
+                            aux=[rest.strip() for _, rest in sec.get("unknown")])
+        spec.kind = sec.last("kind", _choice("kind", ("explicit", "implicit")),
+                             spec.kind)
+        for ln, bname, value in sec.named("bind", "name = value"):
+            how = value.split() or [""]
+            if bname not in self.functions:
+                spec.binds[bname] = _number(value, ln)
+            elif how[0] == "const":
+                spec.fn_binds[bname] = ("const", _number(" ".join(how[1:]), ln))
+            elif how[0] in ("sin", "cos", "exp"):
+                spec.fn_binds[bname] = (how[0],)
             else:
-                eq_lines.append((ln, line))
-        ctx = SymbolContext(
-            independent=tuple(self.independent) + tuple(self.invariants),
-            params=tuple(self.params),
-            dependents={**self.dependents, **phis},
-            functions=tuple(self.functions))
-        equations = [parse_equation(line, ctx, ln) for ln, line in eq_lines]
-        constraints = [_parse_constraint(rest, ctx, ln)
-                       for ln, rest in constraint_lines]
-        if not equations:
-            raise MalformedSection(f"[reduced {name}] has no equations", hln)
-        js = JetSpace(tuple(self.independent) + tuple(self.invariants),
-                      {**self.dependents, **phis})
-        bundle.reduced[name] = EquationSystem(js, equations, tuple(constraints),
-                                              name=name)
-
-    def _solution(self, bundle, name, lines, hln):
-        spec = SolutionSpec(name=name)
-        deferred = []
-        for ln, line in lines:
-            parts = line.split(None, 1)
-            key = parts[0]
-            rest = parts[1] if len(parts) > 1 else ""
-            if key == "kind":
-                if rest.strip() not in ("explicit", "implicit"):
-                    raise MalformedSection("kind is 'explicit' or 'implicit'", ln)
-                spec.kind = rest.strip()
-            elif key == "of":
-                spec.of = rest.strip()
-            elif key == "unknown":
-                spec.aux.append(rest.strip())
-            elif key == "bind":
-                if "=" not in rest:
-                    raise ParseError("bind needs 'name = value'", ln)
-                bname, val = (p.strip() for p in rest.split("=", 1))
-                if bname in self.functions:
-                    vp = val.split() or [""]
-                    if vp[0] == "const":
-                        spec.fn_binds[bname] = ("const",
-                                                _parse_float(" ".join(vp[1:]), ln))
-                    elif vp[0] in ("sin", "cos", "exp"):
-                        spec.fn_binds[bname] = (vp[0],)
-                    else:
-                        raise ParseError(
-                            f"function binding must be sin, cos, exp, or const", ln)
-                else:
-                    spec.binds[bname] = _parse_float(val, ln)
-            elif key in ("box", "bracket", "guess"):
-                form = "value" if key == "guess" else "lo .. hi"
-                if "=" not in rest:
-                    raise ParseError(f"{key} needs 'var = {form}'", ln)
-                vname, val = (p.strip() for p in rest.split("=", 1))
-                if key == "guess":
-                    spec.guesses[vname] = _parse_float(val, ln)
-                else:
-                    ranges = spec.box if key == "box" else spec.brackets
-                    ranges[vname] = _parse_range(val, ln)
-            elif key == "grid":
-                spec.grid = tuple(_parse_float(p, ln, int) for p in rest.split())
-            elif key == "h":
-                spec.h = _parse_float(rest, ln)
-            elif key == "n":
-                spec.n = _parse_float(rest, ln, int)
-            elif key == "seed":
-                spec.seed = _parse_float(rest, ln, int)
-            elif key == "tol":
-                spec.tol = _parse_float(rest, ln)
-            elif key == "expect":
-                spec.expect = _expect(rest, ln)
-            elif key in ("constraint", "relation", "quadrature"):
-                deferred.append((ln, key, rest))
-            else:
-                deferred.append((ln, "expr", line))
+                raise ParseError(
+                    "function binding must be sin, cos, exp, or const", ln)
+        spec.box = sec.ranges("box")
+        spec.brackets = sec.ranges("bracket")
+        spec.guesses = {v: _number(value, ln)
+                        for ln, v, value in sec.named("guess", "var = value")}
+        spec.grid = sec.last(
+            "grid", lambda text, ln: tuple(_integer(p, ln) for p in text.split()),
+            spec.grid)
+        spec.h = sec.last("h", _number, spec.h)
+        spec.n = sec.last("n", _integer, spec.n)
+        spec.seed = sec.last("seed", _integer, spec.seed)
+        spec.tol = sec.last("tol", _number, spec.tol)
+        spec.expect = sec.expect()
         if not spec.of or spec.of not in bundle.equations and \
                 spec.of not in bundle.reduced:
             raise UndeclaredSymbol(
                 f"[solution {name}] must reference a defined system with 'of'", hln)
         target = bundle.system(spec.of)
         quad_names = [rest.split("(", 1)[0].strip()
-                      for ln, key, rest in deferred if key == "quadrature"]
-        ctx = SymbolContext(
-            independent=tuple(target.js.independent),
-            params=tuple(self.params) + tuple(spec.aux),
-            dependents=dict(target.js.dependents),
-            functions=tuple(self.functions) + tuple(quad_names))
-        for ln, key, rest in deferred:
+                      for _, rest in sec.get("quadrature")]
+        ctx = self.context(dependents=target.js.dependents, params=spec.aux,
+                           functions=quad_names)
+        # in file order, so that the first faulty line is the one named
+        for ln, key, rest in sec.in_order("constraint", "quadrature",
+                                          "relation", None):
             if key == "constraint":
-                spec.constraints.append(_parse_constraint(rest, ctx, ln))
+                spec.constraints.append(_constraint(rest, ctx, ln))
             elif key == "quadrature":
                 # "quadrature I(s) = <integrand in s> from <lower>"
                 head, eq, expr_text = rest.partition("=")
@@ -625,7 +593,7 @@ class _Loader:
                 lower = 0.0
                 if " from " in expr_text:
                     expr_text, lower_text = expr_text.rsplit(" from ", 1)
-                    lower = _parse_float(lower_text, ln)
+                    lower = _number(lower_text, ln)
                 qctx = SymbolContext(independent=(qvar,),
                                      params=tuple(self.params),
                                      functions=tuple(self.functions))
@@ -664,68 +632,38 @@ class _Loader:
             spec.dep = last
         bundle.solutions[name] = spec
 
-    def _backlund(self, bundle, name, lines, hln):
-        ctx = self.base_ctx()
-        source = target = ""
-        relations, constraints = [], []
-        expect = "pass"
-        for ln, line in lines:
-            parts = line.split(None, 1)
-            key = parts[0]
-            rest = parts[1] if len(parts) > 1 else ""
-            if key == "source":
-                source = rest.strip()
-            elif key == "target":
-                target = rest.strip()
-            elif key == "constraint":
-                constraints.append(_parse_constraint(rest, ctx, ln))
-            elif key == "expect":
-                expect = _expect(rest, ln)
-            else:
-                relations.append(parse_equation(line, ctx, ln))
+    def _backlund(self, bundle, name, sec, hln):
+        ctx = self.context()
+        expect = sec.expect()
+        relations = sec.equations(ctx)
+        constraints = sec.constraints(ctx)
+        source, target = sec.last("source"), sec.last("target")
         for ref in (source, target):
             if ref not in bundle.equations:
                 raise UndeclaredSymbol(
                     f"[backlund {name}] references unknown equation {ref!r}", hln)
         if not relations:
             raise MalformedSection(f"[backlund {name}] has no relations", hln)
-        js = JetSpace(tuple(self.independent), dict(self.dependents))
-        rel = BacklundRelation(js=js, relations=tuple(relations),
+        rel = BacklundRelation(js=bundle.space, relations=tuple(relations),
                                source=bundle.equations[source],
                                target=bundle.equations[target],
-                               constraints=tuple(constraints) +
-                               tuple(self.param_constraints),
+                               constraints=tuple(constraints +
+                                                 self.param_constraints),
                                name=name)
         bundle.backlunds[name] = BacklundEntry(name, rel, expect=expect)
 
-    def _overdetermined(self, bundle, name, lines, hln):
-        ctx = self.base_ctx()
-        assignments, constraints = [], []
-        box = {}
-        n = 32
-        expect = "pass"
-        for ln, line in lines:
-            parts = line.split(None, 1)
-            key = parts[0]
-            rest = parts[1] if len(parts) > 1 else ""
-            if key == "constraint":
-                constraints.append(_parse_constraint(rest, ctx, ln))
-            elif key == "box":
-                if "=" not in rest:
-                    raise ParseError("box needs 'var = lo .. hi'", ln)
-                vname, rng = rest.split("=", 1)
-                box[vname.strip()] = _parse_range(rng, ln)
-            elif key == "n":
-                n = _parse_float(rest, ln, int)
-            elif key == "expect":
-                expect = _expect(rest, ln)
-            else:
-                assignments.append(parse_equation(line, ctx, ln))
+    def _overdetermined(self, bundle, name, sec, hln):
+        ctx = self.context()
+        constraints = sec.constraints(ctx)
+        box = sec.ranges("box")
+        n = sec.last("n", _integer, 32)
+        expect = sec.expect()
+        assignments = sec.equations(ctx)
         if not assignments:
             raise MalformedSection(f"[overdetermined {name}] has no assignments", hln)
         bundle.overdetermined[name] = OverdeterminedSpec(
             name, tuple(assignments),
-            tuple(constraints) + tuple(self.param_constraints), box, n, expect)
+            tuple(constraints + self.param_constraints), box, n, expect)
 
 
 def parse_problem(text: str, name: str = "") -> ProblemBundle:

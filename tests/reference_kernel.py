@@ -1,8 +1,9 @@
-"""The recursive kernel functions that ``symred.expr`` used before it
-stored each node's sort key on the node and memoised ``diff_partial``
-and ``substitute`` over shared subtrees.  They walk every node of the
-tree, shared subtrees as often as they occur, and are kept only as the
-reference that the fast paths are tested against."""
+"""The kernel functions that ``symred.expr`` used before it stored each
+node's sort key on the node, memoised ``diff_partial`` and
+``substitute`` over shared subtrees, and walked each distinct node once
+in ``subexpressions``, ``atoms`` and ``opaque_names``.  They walk every
+node of the tree, shared subtrees as often as they occur, and are kept
+only as the reference that the fast paths are tested against."""
 
 from symred.expr import (
     _DIFF_TABLE, _KIND_ADD, _KIND_FUNC, _KIND_JET, _KIND_MUL, _KIND_NUM,
@@ -90,3 +91,35 @@ def _subst(e, rules):
     if not kids:
         return e
     return rebuild(e, (_subst(k, rules) for k in kids))
+
+
+def atoms(e, kind=None):
+    out = set()
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (Var, Param, Jet)):
+            if kind is None or isinstance(n, kind):
+                out.add(n)
+        else:
+            stack.extend(children(n))
+    return out
+
+
+def opaque_names(e):
+    out = set()
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Opaque):
+            out.add(n.name)
+        stack.extend(children(n))
+    return out
+
+
+def subexpressions(e):
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(children(n))

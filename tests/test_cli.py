@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from symred.cli import main, run_suite
+from symred.cli import UsageFault, main, run_suite
 from symred.problems import load_problem
 
 DATA = resources.files("symred") / "data"
@@ -274,3 +274,17 @@ def test_error_rows_carry_the_tolerances_their_check_would_use(capsys,
     assert row["verdict"] == "error"
     assert "single dependent" in row["detail"]
     assert row["tolerances"] == {"abs": 1e-9, "rel": 1e-9}
+
+
+def test_operator_without_target_is_a_usage_fault(capsys, tmp_path):
+    # parsing it stays legal; checking it names the operator
+    bundle = tmp_path / "b.prob"
+    bundle.write_text("[space]\nindependent x t\ndependent u(x,t)\n\n"
+                      "[equation heat]\nu[t] = u[x,x]\n\n"
+                      "[operator shift]\ntype point\nxi x = 1\n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, "check", str(bundle))
+    assert code == 3
+    assert "'shift'" in err and "Traceback" not in err
+    with pytest.raises(UsageFault, match="'shift'"):
+        run_suite(load_problem(bundle), seed=0)

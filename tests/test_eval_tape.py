@@ -1,7 +1,8 @@
 """The fast kernel paths against the recursive walkers they replaced:
 the tape evaluator, the sort key each node stores on itself, and
-``diff_partial``/``substitute`` memoised over shared subtrees.  Also the
-hash each node stores on itself."""
+``diff_partial``/``substitute`` memoised over shared subtrees, and the
+walks that visit a shared subtree once.  Also the hash each node
+stores on itself."""
 
 import math
 import pickle
@@ -12,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from symred.expr import (
     Add, DomainFault, Func, Jet, Mul, Num, Opaque, OpaqueInstance, Param,
-    ParameterBinding, Pow, Var, add, diff_partial, eval_numeric,
-    eval_with_scale, func, mul, opaque, pow_, sort_key, subexpressions,
-    substitute,
+    ParameterBinding, Pow, Var, add, atoms, contains, diff_partial,
+    eval_numeric, eval_with_scale, func, mul, opaque, opaque_names, pow_,
+    sort_key, subexpressions, substitute,
 )
 
 import reference_eval
@@ -254,3 +255,31 @@ def test_memoised_substitute_matches_reference(recipe, other, leaves, pick):
     want = _result(reference_kernel.substitute, e, rules)
     got = _result(substitute, build(recipe), rules)
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes())
+def test_unique_node_walks_match_reference(recipe):
+    e = build(recipe)
+    nodes = list(subexpressions(e))
+    assert len({id(n) for n in nodes}) == len(nodes)
+    assert set(nodes) == set(reference_kernel.subexpressions(e))
+    for kind in (None, Jet, (Var, Param)):
+        assert atoms(e, kind) == reference_kernel.atoms(e, kind)
+    assert opaque_names(e) == reference_kernel.opaque_names(e)
+    for sub in nodes + [_fresh(leaf) for leaf in LEAVES]:
+        assert contains(e, sub) == \
+            any(n == sub for n in reference_kernel.subexpressions(e))
+
+
+def test_walks_visit_a_shared_subtree_once():
+    # a raw sum of a node with itself, nested 40 deep: 2**40 sin(x1)
+    # leaves as a tree, 42 node objects.  (The asserts compare plain
+    # values, so that a failure does not print the tree.)
+    e = func("sin", X1)
+    for _ in range(40):
+        e = Add((e, e))
+    visited = len(list(subexpressions(e)))
+    found = (atoms(e), opaque_names(e), contains(e, X1), contains(e, X2))
+    assert visited == 42
+    assert found == ({X1}, set(), True, False)

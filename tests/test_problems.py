@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from symred.expr import Jet, Num, Param, Var, func
@@ -5,6 +7,11 @@ from symred.parser import ParseError, UndeclaredSymbol, print_equation
 from symred.problems import (
     DuplicateName, MalformedSection, parse_problem,
 )
+
+import reference_problems
+from test_golden import LADDER_BUNDLE
+
+BUNDLED = ("eq2", "eq3", "eq4", "eq6", "ode32", "sg_deformed")
 
 MINI = """
 # minimal single-equation bundle
@@ -88,13 +95,15 @@ def test_error_reports_line_number():
     ("[solution s]", "quadrature I(s) from 0"),
     ("[overdetermined o]", "box x1 0 .. 1"),
     ("[overdetermined o]", "n many"),
+    ("[operator o]", "mode conditonal"),
 ])
 def test_malformed_line_is_a_parse_error_naming_it(section, bad):
     head = MINI.replace("[params]\n", "[params]\nfunction F\n") + \
         f"\n{section}\n"
     body = {"[reduced r]": "phi[x1] = 0\n",
             "[solution s]": "kind explicit\nof heat\nu = x1\n",
-            "[overdetermined o]": "u[x1] = u\n"}[section]
+            "[overdetermined o]": "u[x1] = u\n",
+            "[operator o]": "type point\non heat\nxi x1 = 1\n"}[section]
     text = head + bad + "\n" + body
     with pytest.raises(ParseError) as exc:
         parse_problem(text)
@@ -121,6 +130,16 @@ v[x3] = v[x1]
     b = parse_problem(text)
     assert "x3" in b.space.independent
     assert b.promotions == {"u": "x3"}
+
+
+def test_space_lines_are_read_in_file_order():
+    text = ("[space]\nindependent x1\ndependent u(x1)\npromote u -> x3\n"
+            "independent x2\n")
+    assert parse_problem(text).space.independent == ("x1", "x3", "x2")
+    with pytest.raises(UndeclaredSymbol) as exc:
+        parse_problem("[space]\nindependent x1\npromote u -> x3\n"
+                      "dependent u(x1)\n")
+    assert exc.value.line == 3
 
 
 def test_where_clause_declares_invariant():
@@ -208,3 +227,75 @@ def test_golden_bundle_shapes(bundles):
     assert set(bundles["eq2"].overdetermined) == {"pairAfter5"}
     assert bundles["ode32"].ansatzes["logAnsatz"].derive is True
     assert bundles["eq3"].ansatzes["ansatz4"].derive is False
+
+
+def test_second_space_section_rejected():
+    text = MINI + "\n[space]\nindependent x3\n"
+    headers = [i for i, line in enumerate(text.split("\n"), 1)
+               if line == "[space]"]
+    with pytest.raises(MalformedSection) as exc:
+        parse_problem(text)
+    assert exc.value.line == headers[1]
+
+
+# -- the reader against the one it replaced ----------------------------------
+
+def _outcome(parse, text):
+    """The bundle, or the class and line of the error."""
+    try:
+        return parse(text, name="b")
+    except Exception as exc:  # compared by class and line below
+        return type(exc), getattr(exc, "line", None)
+
+
+def _bundled_text(name):
+    return (resources.files("symred") / "data" / f"{name}.prob").read_text(
+        encoding="utf-8")
+
+
+@pytest.mark.parametrize("text", [_bundled_text(n) for n in BUNDLED] +
+                         [MINI, LADDER_BUNDLE])
+def test_reader_builds_the_reference_bundle(text):
+    got = parse_problem(text, name="b")
+    assert got == reference_problems.parse_problem(text, name="b")
+
+
+def _mutations(line):
+    """Single-line edits: delete the line, drop its first '=' or '(',
+    keep only its first word, prefix a bogus key."""
+    yield []
+    for ch in "=(":
+        if ch in line:
+            yield [line.replace(ch, "", 1)]
+    if line.split():
+        yield [line.split()[0]]
+    yield ["bogus " + line]
+
+
+def _bad_mode(line):
+    words = line.split()
+    return words[:1] == ["mode"] and \
+        words[1:] not in (["classical"], ["conditional"], ["lb"])
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_reader_fails_like_the_reference_on_mutated_lines(name):
+    """Every edit of every line gives the reference's bundle, or an error
+    of its class at its line.  The reader mends three faults of the
+    reference; only the first can arise from these edits, and it is
+    checked on its own terms: a ``mode`` line without one of the three
+    modes, which the reference took as the default, is a MalformedSection
+    at that line.  (The other two: a second [space] section, which the
+    reference merged into the first, is an error; an operator without an
+    ``on`` line still parses, and the CLI refuses to check it.)"""
+    lines = _bundled_text(name).split("\n")
+    for i, line in enumerate(lines):
+        for new in _mutations(line):
+            text = "\n".join(lines[:i] + new + lines[i + 1:])
+            want = _outcome(reference_problems.parse_problem, text)
+            got = _outcome(parse_problem, text)
+            if new and _bad_mode(new[0]):
+                assert not isinstance(want, tuple)
+                assert got == (MalformedSection, i + 1)
+            else:
+                assert got == want, (i + 1, new)
