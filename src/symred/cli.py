@@ -98,11 +98,29 @@ def _call(check, seed: int, tol: float | None, *args, **kw) -> Result:
         return _fault(exc, seed, t, t)
 
 
-def _run_operator(bundle: ProblemBundle, entry, seed: int,
-                  tol: float | None, mode: str = "", expect: str = "") -> dict:
+def _target(bundle: ProblemBundle, entry) -> EquationSystem:
+    """The equation an operator is checked on; a UsageFault without one.
+    The subcommands call it before they print anything."""
     if not entry.on:
         raise UsageFault(f"operator {entry.name!r} names no equation to check "
                          f"(an 'on' line)")
+    return bundle.equations[entry.on]
+
+
+def _original(bundle: ProblemBundle, entry, candidate: str = ""):
+    """The equation an ansatz reduces, and the candidate reduced system
+    (None if not named); a UsageFault if either is missing."""
+    if not entry.original:
+        raise UsageFault(f"ansatz {entry.name!r} names no original equation")
+    if candidate and candidate not in bundle.reduced:
+        raise UsageFault(f"unknown reduced system {candidate!r}")
+    return (bundle.equations[entry.original],
+            bundle.reduced[candidate] if candidate else None)
+
+
+def _run_operator(bundle: ProblemBundle, entry, seed: int,
+                  tol: float | None, mode: str = "", expect: str = "") -> dict:
+    target = _target(bundle, entry)
     mode = mode or entry.mode
     if isinstance(entry.operator, CanonicalOperator) or mode == "lb":
         kind, check = "lie-backlund", check_lie_backlund
@@ -110,20 +128,16 @@ def _run_operator(bundle: ProblemBundle, entry, seed: int,
         kind, check = "conditional", check_conditional
     else:
         kind, check = "classical", check_classical
-    rec = _call(check, seed, tol, entry.operator, bundle.equations[entry.on])
+    rec = _call(check, seed, tol, entry.operator, target)
     return _row(f"{bundle.name}:{entry.name}", kind, rec, expect)
 
 
 def _run_reduce(bundle: ProblemBundle, entry, candidate: str, seed: int,
                 tol: float | None, expect: str = "", stream=None) -> dict:
-    if not entry.original:
-        raise UsageFault(f"ansatz {entry.name!r} names no original equation")
-    original = bundle.equations[entry.original]
+    original, reduced = _original(bundle, entry, candidate)
     if candidate:
-        if candidate not in bundle.reduced:
-            raise UsageFault(f"unknown reduced system {candidate!r}")
         rec = _call(verify_reduction, seed, tol, entry.ansatz, original,
-                    bundle.reduced[candidate])
+                    reduced)
         return _row(f"{bundle.name}:{entry.name}->{candidate}", "reduction",
                     rec, expect)
     out = _call(derive_reduction, seed, tol, entry.ansatz, original)
@@ -299,6 +313,7 @@ def cmd_check(args) -> int:
     for n in names:
         if n not in bundle.operators:
             raise UsageFault(f"unknown operator {n!r}")
+        _target(bundle, bundle.operators[n])
     seeds = _parse_seeds(args.seed)
     _header(seeds, args.tol, args.format, sys.stdout)
     records = []
@@ -316,6 +331,7 @@ def cmd_reduce(args) -> int:
         raise UsageFault("reduce needs --ansatz")
     if args.ansatz not in bundle.ansatzes:
         raise UsageFault(f"unknown ansatz {args.ansatz!r}")
+    _original(bundle, bundle.ansatzes[args.ansatz], args.candidate)
     seeds = _parse_seeds(args.seed)
     _header(seeds, args.tol, args.format, sys.stdout)
     records = []
@@ -330,15 +346,14 @@ def cmd_reduce(args) -> int:
 def cmd_verify(args) -> int:
     bundle = _load(args.bundle)
     seeds = _parse_seeds(args.seed)
-    _header(seeds, args.tol, args.format, sys.stdout)
-    records = []
-    targeted = bool(args.solution or args.backlund)
     if args.solution and args.solution not in bundle.solutions:
         raise UsageFault(f"unknown solution {args.solution!r}")
     if args.backlund and args.backlund not in bundle.backlunds:
         raise UsageFault(f"unknown transformation {args.backlund!r}")
-    if not targeted:
+    if not (args.solution or args.backlund):
         raise UsageFault("verify needs --solution or --backlund")
+    _header(seeds, args.tol, args.format, sys.stdout)
+    records = []
     for seed in seeds:
         if args.solution:
             records.append(_run_solution(bundle, bundle.solutions[args.solution],

@@ -210,8 +210,12 @@ class Opaque(Expr):
     order: int = 0
 
 
+# The coefficient of every term that has none of its own.  ``add`` and
+# ``mul`` test for it by identity before any Fraction comparison.
+_UNIT = Fraction(1)
+
 ZERO = Num(Fraction(0))
-ONE = Num(Fraction(1))
+ONE = Num(_UNIT)
 NUM_MINUS_ONE = Num(Fraction(-1))
 HALF = Num(Fraction(1, 2))
 
@@ -280,7 +284,7 @@ def _split_coeff(term: Expr):
             return term.factors[0].value, None
         rest_e = rest[0] if len(rest) == 1 else Mul(rest)
         return term.factors[0].value, rest_e
-    return Fraction(1), term
+    return _UNIT, term
 
 
 def add(*terms) -> Expr:
@@ -291,26 +295,25 @@ def add(*terms) -> Expr:
             flat.extend(t.terms)
         else:
             flat.append(t)
-    const = Fraction(0)
+    # a term's first coefficient is stored as it is; Fractions are added
+    # only when a second like term comes
+    const = None
     by_rest: dict = {}
-    order: list = []
     for t in flat:
         c, rest = _split_coeff(t)
         if rest is None:
-            const += c
+            const = c if const is None else const + c
         else:
-            if rest not in by_rest:
-                by_rest[rest] = Fraction(0)
-                order.append(rest)
-            by_rest[rest] += c
+            prev = by_rest.get(rest)
+            by_rest[rest] = c if prev is None else prev + c
     out = []
-    for rest in order:
-        c = by_rest[rest]
-        if c == 0:
-            continue
-        out.append(rest if c == 1 else mul(Num(c), rest))
+    for rest, c in by_rest.items():
+        if c is _UNIT:
+            out.append(rest)
+        elif c:
+            out.append(rest if c == 1 else mul(Num(c), rest))
     out.sort(key=sort_key)
-    if const != 0:
+    if const:
         out.insert(0, Num(const))
     if not out:
         return ZERO
@@ -333,26 +336,28 @@ def mul(*factors) -> Expr:
             flat.extend(f.factors)
         else:
             flat.append(f)
-    coeff = Fraction(1)
+    coeff = _UNIT
     by_base: dict = {}
-    order: list = []
     for f in flat:
         if isinstance(f, Num):
-            coeff *= f.value
+            coeff = f.value if coeff is _UNIT else coeff * f.value
             continue
         base, exp = _split_power(f)
-        if base not in by_base:
-            by_base[base] = []
-            order.append(base)
-        by_base[base].append(exp)
-    if coeff == 0:
+        exps = by_base.get(base)
+        if exps is None:
+            by_base[base] = [exp]
+        else:
+            exps.append(exp)
+    if not coeff:
         return ZERO
     out = []
     redo = False
-    for base in order:
-        p = pow_(base, add(*by_base[base]))
+    for base, exps in by_base.items():
+        # a lone factor to the power 1 is the factor itself
+        p = base if len(exps) == 1 and exps[0] is ONE else \
+            pow_(base, add(*exps))
         if isinstance(p, Num):
-            coeff *= p.value
+            coeff = p.value if coeff is _UNIT else coeff * p.value
         elif isinstance(p, Mul):
             # pow_ distributed an integer exponent over a product; the new
             # factors may merge with other bases, so renormalize once more
@@ -360,12 +365,12 @@ def mul(*factors) -> Expr:
             out.append(p)
         else:
             out.append(p)
-    if coeff == 0:
+    if not coeff:
         return ZERO
     if redo:
         return mul(Num(coeff), *out)
     out.sort(key=sort_key)
-    if coeff != 1:
+    if coeff is not _UNIT and coeff != 1:
         out.insert(0, Num(coeff))
     if not out:
         return ONE
@@ -584,16 +589,25 @@ def _fill_diff_table():
 _fill_diff_table()
 
 
-def diff_partial(e: Expr, v: Expr) -> Expr:
+def diff_partial(e: Expr, v: Expr, memos: dict | None = None) -> Expr:
     """Exact partial derivative treating every jet coordinate as an
     independent symbol.  ``v`` must be a Var, Param, or Jet.
 
-    The derivative of each non-leaf node is memoised, keyed by node, for
-    the length of one call, so a subtree shared within ``e`` is
-    differentiated once."""
+    The derivative of each non-leaf node is memoised, keyed by node, so a
+    subtree shared within ``e`` is differentiated once.  Without
+    ``memos`` the memo lasts one call.  ``memos`` is a caller-owned
+    ``{variable: {node: derivative}}``; the memo for ``v`` is taken from
+    it and stays in it, so later calls by ``v`` on trees that share
+    subtrees with ``e`` reuse their derivatives for as long as the caller
+    keeps the dict."""
     if not isinstance(v, (Var, Param, Jet)):
         raise TypeError("differentiation variable must be Var, Param or Jet")
-    return _diff(e, v, {})
+    if memos is None:
+        return _diff(e, v, {})
+    memo = memos.get(v)
+    if memo is None:
+        memo = memos[v] = {}
+    return _diff(e, v, memo)
 
 
 def _diff(e: Expr, v: Expr, memo: dict) -> Expr:

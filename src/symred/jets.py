@@ -52,21 +52,27 @@ class JetSpace:
         return JetSpace(self.independent, deps, dict(self.chains))
 
 
-def total_derivative(e: Expr, x: str, js: JetSpace) -> Expr:
+def total_derivative(e: Expr, x: str, js: JetSpace,
+                     memos: dict | None = None) -> Expr:
     """D_x e on jet space: the explicit x-slot plus the chain through
-    every jet coordinate (and through invariant-variable chains)."""
-    parts = [diff_partial(e, Var(x))]
+    every jet coordinate (and through invariant-variable chains).
+
+    Each partial derivative is taken by ``diff_partial``; ``memos``, a
+    caller-owned ``{variable: {node: derivative}}``, is passed on to it,
+    so that the partials of trees that share subtrees with ``e`` are
+    reused.  Without it each partial derivative has its own memo."""
+    parts = [diff_partial(e, Var(x), memos)]
     for w, chain in js.chains.items():
         dw = chain.get(x, ZERO)
         if dw != ZERO and Var(w) != Var(x):
-            d = diff_partial(e, Var(w))
+            d = diff_partial(e, Var(w), memos)
             if d != ZERO:
                 parts.append(mul(d, dw))
     for a in atoms(e, Jet):
         args = js.dependents.get(a.dep)
         if args is None:
             continue
-        coeff = diff_partial(e, a)
+        coeff = diff_partial(e, a, memos)
         if coeff == ZERO:
             continue
         for v in args:
@@ -140,7 +146,15 @@ class CanonicalOperator:
 
 class ProlongedField:
     """Prolongation of a point field; coefficients computed lazily via
-    the standard recursion and cached."""
+    the standard recursion and cached.
+
+    Coefficient J+x is D_x of coefficient J less the xi terms (Olver,
+    Applications of Lie Groups to Differential Equations, Thm. 2.36), so
+    consecutive coefficients share most of their subtrees.  The field
+    owns one derivative memo, ``{variable: {node: derivative}}``, that
+    every total derivative it takes passes to ``diff_partial``: a shared
+    subtree is differentiated once per variable for the field's
+    lifetime.  The memo lives and dies with the field."""
 
     def __init__(self, vf: VectorField, order: int, js: JetSpace):
         if order < 1:
@@ -149,6 +163,7 @@ class ProlongedField:
         self.order = order
         self.js = js
         self._cache: dict = {}
+        self._memos: dict = {}
 
     def coefficient(self, jet: Jet) -> Expr:
         key = (jet.dep, jet.index)
@@ -161,9 +176,10 @@ class ProlongedField:
             base = dict(jet.index)
             base[v] -= 1
             lower = Jet(jet.dep, tuple(base.items()))
-            val = total_derivative(self.coefficient(lower), v, self.js)
+            val = total_derivative(self.coefficient(lower), v, self.js,
+                                   self._memos)
             for xj, xij in self.vf.xi.items():
-                dxi = total_derivative(xij, v, self.js)
+                dxi = total_derivative(xij, v, self.js, self._memos)
                 if dxi != ZERO:
                     val = add(val, mul(Num(-1), lower.lift(xj), dxi))
         self._cache[key] = val

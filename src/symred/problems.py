@@ -8,6 +8,7 @@ frozen by golden-file tests.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .expr import Jet, OpaqueInstance, Param, ParameterBinding, Var
@@ -31,6 +32,7 @@ class DuplicateName(ParseError):
 
 
 _REL_TOKENS = ("!=", ">=", "<=", ">", "<")
+_NAME = re.compile(r"[^\W\d]\w*")   # an identifier, as the parser reads one
 
 
 @dataclass
@@ -451,7 +453,13 @@ class _Loader:
         self.functions += [_one_name(rest, ln, "function")
                            for ln, rest in sec.get("function")]
         for ln, line in sec.get():
-            name = line.split()[0]
+            # a name, then optionally a constraint on it: the whole line,
+            # "k != 0" or "k!=0"
+            name = _NAME.match(line)
+            if name is None:
+                raise MalformedSection(
+                    "a [params] line starts with the parameter's name", ln)
+            name = name.group()
             self.params.append(name)
             if line[len(name):].strip():
                 ctx = SymbolContext(params=tuple(self.params))

@@ -133,15 +133,17 @@ def sample_point(symbols, constraints, rng: random.Random,
     """One in-domain random point, or None when the budget runs out.
 
     Each draw takes one ``rng.uniform`` per symbol, in order, from the
-    symbol's ``box`` entry (keyed by name) or ``default_box``.  A draw is
-    rejected when a constraint fails or raises DomainFault; an
-    UnboundSymbol propagates.  Returns (point, draws_used)."""
-    box = box or {}
+    symbol's ``box`` entry (keyed by name, looked up once per call) or
+    ``default_box``.  A draw is rejected when a constraint fails or
+    raises DomainFault; an UnboundSymbol propagates.  Returns (point,
+    draws_used)."""
+    if box:
+        ranges = [(s, *box.get(_sym_name(s), default_box)) for s in symbols]
+    else:
+        ranges = [(s, *default_box) for s in symbols]
+    uniform = rng.uniform
     for attempt in range(1, retry_budget + 1):
-        point = {}
-        for s in symbols:
-            lo, hi = box.get(_sym_name(s), default_box)
-            point[s] = rng.uniform(lo, hi)
+        point = {s: uniform(lo, hi) for s, lo, hi in ranges}
         try:
             if all(c.holds(point, binding) for c in constraints):
                 return point, attempt

@@ -1,15 +1,18 @@
 """The kernel functions that ``symred.expr`` used before it stored each
 node's sort key on the node, memoised ``diff_partial`` and
-``substitute`` over shared subtrees, and walked each distinct node once
-in ``subexpressions``, ``atoms`` and ``opaque_names``.  They walk every
+``substitute`` over shared subtrees, walked each distinct node once in
+``subexpressions``, ``atoms`` and ``opaque_names``, and skipped Fraction
+arithmetic on unit coefficients in ``add`` and ``mul``.  They walk every
 node of the tree, shared subtrees as often as they occur, and are kept
 only as the reference that the fast paths are tested against."""
+
+from fractions import Fraction
 
 from symred.expr import (
     _DIFF_TABLE, _KIND_ADD, _KIND_FUNC, _KIND_JET, _KIND_MUL, _KIND_NUM,
     _KIND_OPAQUE, _KIND_PARAM, _KIND_POW, _KIND_VAR, NUM_MINUS_ONE, ONE,
-    ZERO, Add, Func, Jet, Mul, Num, Opaque, Param, Pow, Var, add, children,
-    func, mul, pow_, rebuild,
+    ZERO, Add, Func, Jet, Mul, Num, Opaque, Param, Pow, Var, _coerce,
+    _split_power, children, func, pow_, rebuild,
 )
 
 
@@ -33,6 +36,104 @@ def sort_key(e):
     if isinstance(e, Add):
         return (_KIND_ADD, tuple(sort_key(t) for t in e.terms))
     raise TypeError(type(e))
+
+
+def _split_coeff(term):
+    """term -> (rational coefficient, non-numeric rest or None)."""
+    if isinstance(term, Num):
+        return term.value, None
+    if isinstance(term, Mul) and isinstance(term.factors[0], Num):
+        rest = term.factors[1:]
+        if not rest:  # an unnormalized one-factor product of a number
+            return term.factors[0].value, None
+        rest_e = rest[0] if len(rest) == 1 else Mul(rest)
+        return term.factors[0].value, rest_e
+    return Fraction(1), term
+
+
+def add(*terms):
+    flat = []
+    for t in terms:
+        t = _coerce(t)
+        if isinstance(t, Add):
+            flat.extend(t.terms)
+        else:
+            flat.append(t)
+    const = Fraction(0)
+    by_rest: dict = {}
+    order: list = []
+    for t in flat:
+        c, rest = _split_coeff(t)
+        if rest is None:
+            const += c
+        else:
+            if rest not in by_rest:
+                by_rest[rest] = Fraction(0)
+                order.append(rest)
+            by_rest[rest] += c
+    out = []
+    for rest in order:
+        c = by_rest[rest]
+        if c == 0:
+            continue
+        out.append(rest if c == 1 else mul(Num(c), rest))
+    out.sort(key=sort_key)
+    if const != 0:
+        out.insert(0, Num(const))
+    if not out:
+        return ZERO
+    if len(out) == 1:
+        return out[0]
+    return Add(tuple(out))
+
+
+def mul(*factors):
+    flat = []
+    for f in factors:
+        f = _coerce(f)
+        if isinstance(f, Mul):
+            flat.extend(f.factors)
+        else:
+            flat.append(f)
+    coeff = Fraction(1)
+    by_base: dict = {}
+    order: list = []
+    for f in flat:
+        if isinstance(f, Num):
+            coeff *= f.value
+            continue
+        base, exp = _split_power(f)
+        if base not in by_base:
+            by_base[base] = []
+            order.append(base)
+        by_base[base].append(exp)
+    if coeff == 0:
+        return ZERO
+    out = []
+    redo = False
+    for base in order:
+        p = pow_(base, add(*by_base[base]))
+        if isinstance(p, Num):
+            coeff *= p.value
+        elif isinstance(p, Mul):
+            # pow_ distributed an integer exponent over a product; the new
+            # factors may merge with other bases, so renormalize once more
+            redo = True
+            out.append(p)
+        else:
+            out.append(p)
+    if coeff == 0:
+        return ZERO
+    if redo:
+        return mul(Num(coeff), *out)
+    out.sort(key=sort_key)
+    if coeff != 1:
+        out.insert(0, Num(coeff))
+    if not out:
+        return ONE
+    if len(out) == 1:
+        return out[0]
+    return Mul(tuple(out))
 
 
 def diff_partial(e, v):

@@ -288,3 +288,22 @@ def test_operator_without_target_is_a_usage_fault(capsys, tmp_path):
     assert "'shift'" in err and "Traceback" not in err
     with pytest.raises(UsageFault, match="'shift'"):
         run_suite(load_problem(bundle), seed=0)
+
+
+@pytest.mark.parametrize("section, argv", [
+    ("[operator shift]\ntype point\nxi x = 1\n", ["check"]),
+    ("[ansatz travel]\nunknown phi(z)\nwhere z = x - t\nu = phi\n",
+     ["reduce", "--ansatz", "travel"]),
+])
+def test_entry_usage_fault_leaves_stdout_empty(capsys, tmp_path, section,
+                                               argv):
+    # an operator without 'on', an ansatz without 'original': found
+    # before the header is printed, as a bad --seed is
+    bundle = tmp_path / "b.prob"
+    bundle.write_text("[space]\nindependent x t\ndependent u(x,t)\n\n"
+                      "[equation heat]\nu[t] = u[x,x]\n\n" + section,
+                      encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(bundle), *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert "names no" in err and "Traceback" not in err

@@ -1,22 +1,27 @@
 """The fast kernel paths against the recursive walkers they replaced:
-the tape evaluator, the sort key each node stores on itself, and
-``diff_partial``/``substitute`` memoised over shared subtrees, and the
-walks that visit a shared subtree once.  Also the hash each node
-stores on itself."""
+the tape evaluator, the sort key each node stores on itself,
+``diff_partial``/``substitute`` memoised over shared subtrees (for one
+call, or for the life of a prolonged field), ``add``/``mul`` without
+Fraction arithmetic on unit coefficients, and the walks that visit a
+shared subtree once.  Also the hash each node stores on itself."""
 
 import math
 import pickle
 from dataclasses import fields
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
+from symred import expr
 from symred.expr import (
-    Add, DomainFault, Func, Jet, Mul, Num, Opaque, OpaqueInstance, Param,
-    ParameterBinding, Pow, Var, add, atoms, contains, diff_partial,
-    eval_numeric, eval_with_scale, func, mul, opaque, opaque_names, pow_,
-    sort_key, subexpressions, substitute,
+    _UNIT, ZERO, Add, DomainFault, Func, Jet, Mul, Num, Opaque,
+    OpaqueInstance, Param, ParameterBinding, Pow, Var, _split_coeff, add,
+    atoms, contains, diff_partial, eval_numeric, eval_with_scale, func, mul,
+    opaque, opaque_names, pow_, sort_key, subexpressions, substitute,
 )
+from symred.jets import JetSpace, VectorField, prolong, total_derivative
+from symred.parser import print_expression
 
 import reference_eval
 import reference_kernel
@@ -283,3 +288,142 @@ def test_walks_visit_a_shared_subtree_once():
     found = (atoms(e), opaque_names(e), contains(e, X1), contains(e, X2))
     assert visited == 42
     assert found == ({X1}, set(), True, False)
+
+
+def _same_node(got, want):
+    """``==``, printed form and sort key of a fast result against the
+    reference's (or the same exception class)."""
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got == want
+    assert print_expression(got) == print_expression(want)
+    assert sort_key(got) == reference_kernel.sort_key(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recipes(), st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=5))
+def test_unit_coefficient_fast_path_matches_reference(recipe, picks):
+    # the pool holds the raw and normalised nodes of a shared tree, and
+    # the int-valued Num(-1) and Num(1) that jets, linalg and the parser
+    # build, never the module's own constants
+    nodes = list(subexpressions(build(recipe))) + [Num(-1), Num(1), Num(0)]
+    args = [nodes[p % len(nodes)] for p in picks]
+    for fast, ref in ((add, reference_kernel.add),
+                      (mul, reference_kernel.mul)):
+        _same_node(_result(fast, *args), _result(ref, *args))
+    # a - b, as Expr.__sub__ builds it
+    a, b = args[0], args[-1]
+    _same_node(_result(lambda: add(a, mul(Num(-1), b))),
+               _result(lambda: reference_kernel.add(
+                   a, reference_kernel.mul(Num(-1), b))))
+    for n in nodes:
+        c, rest = _split_coeff(n)
+        assert (c, rest) == reference_kernel._split_coeff(n)
+        assert type(c) is Fraction
+        if rest is n:
+            assert c is _UNIT
+
+
+def test_unit_coefficient_edge_cases():
+    x, y = Var("x1"), Var("x2")
+    s = add(x, y, mul(x, y))
+    assert s == Add((x, y, Mul((x, y))))
+    assert _split_coeff(x)[0] is _UNIT
+    # a coefficient of 1 built from an int still leaves no unit factor
+    assert mul(Num(1), x) == x and add(Mul((Num(1), x)), Num(0)) == x
+    assert add(x, mul(Num(-1), x)) == ZERO
+
+
+JS_U = JetSpace(("x1", "x2"), {"u": ("x1", "x2")})
+
+
+def _jets_up_to(js, dep, order):
+    out = []
+    for k in range(order + 1):
+        for idx in product(js.independent, repeat=k):
+            j = js.jet(dep, *idx)
+            if j not in out:
+                out.append(j)
+    return out
+
+
+def _coefficient_per_call(vf, jet, js):
+    """The prolongation recursion of ``ProlongedField.coefficient`` with
+    a fresh memo for every partial derivative."""
+    if jet.order == 0:
+        return vf.eta.get(jet.dep, ZERO)
+    v = jet.index[0][0]
+    base = dict(jet.index)
+    base[v] -= 1
+    lower = Jet(jet.dep, tuple(base.items()))
+    val = total_derivative(_coefficient_per_call(vf, lower, js), v, js)
+    for xj, xij in vf.xi.items():
+        dxi = total_derivative(xij, v, js)
+        if dxi != ZERO:
+            val = add(val, mul(Num(-1), lower.lift(xj), dxi))
+    return val
+
+
+@settings(max_examples=60, deadline=None)
+@given(recipes(), recipes())
+def test_field_memo_matches_per_call_memos(xi_recipe, eta_recipe):
+    vf = VectorField({"x1": build(xi_recipe)}, {"u": build(eta_recipe)})
+    pf = prolong(vf, 2, JS_U)
+    for j in _jets_up_to(JS_U, "u", 2):
+        assert pf.coefficient(j) == _coefficient_per_call(vf, j, JS_U)
+
+
+def test_field_memo_matches_per_call_memos_to_order_six():
+    x, t, u, w = Var("x"), Var("t"), Jet("u"), Var("w")
+    js = JetSpace(("x", "t"), {"u": ("x", "t")}, chains={"w": {"x": t}})
+    fields_ = [
+        # the ladder's f(u, t) d/dx
+        VectorField({"x": add(mul(Num(Fraction(3, 2)), pow_(u, 3)),
+                              mul(Num(-2), pow_(u, 2)), mul(Num(9), t))}, {}),
+        VectorField({"x": mul(x, t), "t": func("sin", u)},
+                    {"u": add(opaque("F", u), mul(w, u))}),
+    ]
+    for vf in fields_:
+        pf = prolong(vf, 6, js)
+        jets = [js.jet("u", *["x"] * k) for k in range(7)] + \
+            [js.jet("u", "x", "x", "t"), js.jet("u", "t", "x", "t", "x")]
+        for j in jets:
+            assert pf.coefficient(j) == _coefficient_per_call(vf, j, js)
+
+
+def test_shared_subtree_is_differentiated_once_per_field(monkeypatch):
+    # D_x^k sin(u) holds sin(u) and cos(u) in every coefficient from the
+    # second on; each is differentiated by u once per field, and again by
+    # a second field
+    calls = []
+    for name in ("sin", "cos"):
+        rule = expr._DIFF_TABLE[name]
+        monkeypatch.setitem(
+            expr._DIFF_TABLE, name,
+            lambda a, name=name, rule=rule: calls.append((name, a)) or rule(a))
+    js = JetSpace(("x",), {"u": ("x",)})
+    vf = VectorField({}, {"u": func("sin", Jet("u"))})
+    for round_ in (1, 2):
+        pf = prolong(vf, 5, js)
+        for k in range(6):
+            pf.coefficient(js.jet("u", *["x"] * k))
+        assert sorted(calls) == sorted([("cos", Jet("u")),
+                                        ("sin", Jet("u"))] * round_)
+    # without the field's memo each total derivative differentiates them
+    # again
+    calls.clear()
+    for k in range(1, 6):
+        _coefficient_per_call(vf, js.jet("u", *["x"] * k), js)
+    assert len(calls) > 2
+
+
+def test_caller_memos_are_kept_per_variable():
+    x1, x2 = Var("x1"), Var("x2")
+    e = func("sin", mul(x1, x2))
+    memos = {}
+    assert diff_partial(e, x1, memos) == reference_kernel.diff_partial(e, x1)
+    assert diff_partial(e, x2, memos) == reference_kernel.diff_partial(e, x2)
+    assert set(memos) == {x1, x2}
+    assert memos[x1][e] == reference_kernel.diff_partial(e, x1)
+    assert diff_partial(e, Var("z"), memos) == ZERO

@@ -96,6 +96,8 @@ def test_error_reports_line_number():
     ("[overdetermined o]", "box x1 0 .. 1"),
     ("[overdetermined o]", "n many"),
     ("[operator o]", "mode conditonal"),
+    ("[params]", "2k != 0"),
+    ("[params]", "!= 0"),
 ])
 def test_malformed_line_is_a_parse_error_naming_it(section, bad):
     head = MINI.replace("[params]\n", "[params]\nfunction F\n") + \
@@ -103,11 +105,24 @@ def test_malformed_line_is_a_parse_error_naming_it(section, bad):
     body = {"[reduced r]": "phi[x1] = 0\n",
             "[solution s]": "kind explicit\nof heat\nu = x1\n",
             "[overdetermined o]": "u[x1] = u\n",
-            "[operator o]": "type point\non heat\nxi x1 = 1\n"}[section]
+            "[operator o]": "type point\non heat\nxi x1 = 1\n",
+            "[params]": "D\n"}[section]
     text = head + bad + "\n" + body
     with pytest.raises(ParseError) as exc:
         parse_problem(text)
     assert exc.value.line == head.count("\n") + 1
+
+
+def test_param_constraint_needs_no_spaces():
+    spaced = parse_problem(MINI)
+    tight = parse_problem(MINI.replace("alpha != 0", "alpha!=0"))
+    assert tight == spaced
+    assert tight.params == ("C", "alpha")
+    assert [c.rel for c in tight.param_constraints] == ["!="]
+    for bad in ("!= 0", "2alpha > 0"):
+        with pytest.raises(MalformedSection) as exc:
+            parse_problem(MINI.replace("alpha != 0", bad))
+        assert exc.value.line == MINI.splitlines().index("alpha != 0") + 1
 
 
 def test_comments_and_blank_lines_ignored():
