@@ -3,7 +3,8 @@
 Three flavours: an explicit two-parameter solution of the reduced
 ordinary system, a quadrature-backed solution whose primitive has no
 elementary form, and an implicit two-relation solution validated with
-finite differences on values from nested scalar solves.
+exact implicit-function derivatives after one chain of scalar solves
+per point.
 """
 
 from importlib import resources
@@ -41,7 +42,7 @@ def main():
     run(ode, "eq38")       # F = sin, primitive computed by quadrature
     run(ode, "constantF")  # F = 1, the residual is an exact identity
 
-    print("implicit two-relation solution, finite differences")
+    print("implicit two-relation solution, exact implicit-function derivatives")
     eq6 = load("eq6")
     run(eq6, "implicitTheta")
     run(eq6, "thetaFlipped")  # negative control: wrong sign, large residual

@@ -31,7 +31,7 @@ from .reduce import (
 from .numeric import (
     NoConvergence, SamplePlan, SolutionForm, ToleranceNotMet,
     newton_system, quadrature, quadrature_instance, residual_explicit,
-    residual_implicit, solve_implicit,
+    residual_fd, residual_implicit, solve_implicit,
 )
 from .parser import (
     ParseError, SymbolContext, UndeclaredSymbol, parse_equation,

@@ -29,31 +29,39 @@ def check_classical(vf: VectorField, sys: EquationSystem, seed: int = 0,
     return combine(results, seed, tol_abs, tol_rel)
 
 
-def invariant_surface_conditions(vf: VectorField, js: JetSpace):
-    """Solved-form invariant-surface conditions of a point operator.
-
-    Requires one independent variable whose xi component is the
-    constant 1 (the promoted-coordinate convention); the condition for
-    each dependent u is  u_{that var} = eta - sum over other xi * u_j.
-    """
-    pivot = None
+def _constant_pivot(vf: VectorField):
+    """The first xi component that is a nonzero constant, as
+    (variable, Num), or None."""
     for xj, xij in vf.xi.items():
-        if xij == Num(1):
-            pivot = xj
-            break
-    if pivot is None:
-        raise ValueError("operator has no unit xi component to solve along")
-    extras = []
-    for dep, args in js.dependents.items():
-        if pivot not in args:
-            continue
-        rhs = vf.eta.get(dep, ZERO)
-        for xj, xij in vf.xi.items():
-            if xj == pivot:
-                continue
+        if isinstance(xij, Num) and xij.value != 0:
+            return xj, xij
+    return None
+
+
+def _solved_along(vf: VectorField, dep: str, pivot) -> tuple:
+    """``xi_j u_j = eta`` for one dependent u, solved for u along the
+    pivot (variable, constant c):  u_p = (eta - sum over other xi_j
+    u_j) / c."""
+    xp, cp = pivot
+    rhs = vf.eta.get(dep, ZERO)
+    for xj, xij in vf.xi.items():
+        if xj != xp:
             rhs = add(rhs, mul(Num(-1), xij, Jet(dep, ((xj, 1),))))
-        extras.append((Jet(dep, ((pivot, 1),)), rhs))
-    return extras
+    return Jet(dep, ((xp, 1),)), mul(pow_(cp, Num(-1)), rhs)
+
+
+def invariant_surface_conditions(vf: VectorField, js: JetSpace):
+    """Solved-form invariant-surface conditions of a point operator,
+    along its first constant nonzero xi component.  A conditional
+    symmetry is defined only up to a nonvanishing multiplier (Zhdanov,
+    Tsyfra & Popovych, J. Math. Anal. Appl. 238, 1999), so dividing by
+    that constant is the standard normalisation."""
+    pivot = _constant_pivot(vf)
+    if pivot is None:
+        raise ValueError(
+            "operator has no constant nonzero xi component to solve along")
+    return [_solved_along(vf, dep, pivot)
+            for dep, args in js.dependents.items() if pivot[0] in args]
 
 
 def check_conditional(vf: VectorField, sys: EquationSystem, seed: int = 0,
@@ -106,22 +114,11 @@ def constraint_system(family, js: JetSpace, constraints=()) -> EquationSystem:
     pivot xi."""
     equations = []
     for q in family:
-        pivot = None
-        for xj, xij in q.xi.items():
-            if isinstance(xij, Num) and xij.value != 0:
-                pivot = (xj, xij)
-                break
+        pivot = _constant_pivot(q)
         if pivot is None:
             raise ValueError(
                 f"family operator {q.name or q!r} has no constant nonzero xi to solve along")
-        xp, cp = pivot
-        for dep in js.dependents:
-            rhs = q.eta.get(dep, ZERO)
-            for xj, xij in q.xi.items():
-                if xj == xp:
-                    continue
-                rhs = add(rhs, mul(Num(-1), xij, Jet(dep, ((xj, 1),))))
-            equations.append((Jet(dep, ((xp, 1),)), mul(pow_(cp, Num(-1)), rhs)))
+        equations.extend(_solved_along(q, dep, pivot) for dep in js.dependents)
     return EquationSystem(js, equations, tuple(constraints), name="constraint system")
 
 

@@ -38,7 +38,7 @@ from .reduce import (
     verify_backlund, verify_reduction,
 )
 from .numeric import (
-    DEFAULT_EXPLICIT_TOL, DEFAULT_IMPLICIT_TOL, residual_explicit,
+    DEFAULT_EXPLICIT_TOL, DEFAULT_IMPLICIT_TOL, residual_explicit, residual_fd,
     residual_implicit,
 )
 from .systems import EquationSystem
@@ -180,7 +180,12 @@ def _run_solution(bundle: ProblemBundle, spec, seed: int, tol: float | None,
         use_tol = spec.tol
     if use_tol is None:
         use_tol = DEFAULT_IMPLICIT_TOL if implicit else DEFAULT_EXPLICIT_TOL
-    residual = residual_implicit if implicit else residual_explicit
+    if fd:
+        residual = residual_fd
+    elif spec.kind == "implicit":
+        residual = residual_implicit
+    else:
+        residual = residual_explicit
     try:
         rec = residual(form, sys_, plan, binding, tol=use_tol)
     except ENTRY_FAULTS as exc:

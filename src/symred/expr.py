@@ -54,7 +54,7 @@ class Expr:
     slots, set with ``object.__setattr__`` and unset until first use:
     ``_hash``, its hash, computed the first time it is asked for;
     ``_key``, its :func:`sort_key`, which holds its children's keys; and
-    ``_tape``, the tape :func:`eval_with_scale` runs, built the first
+    ``_tape``, the tape numeric evaluation runs, built the first
     time the node is evaluated.  All three live as long as the node
     does.  Pickling keeps only the fields.
     """
@@ -759,8 +759,7 @@ def eval_numeric(e: Expr, point: Mapping[Expr, float] | None = None,
                  binding: ParameterBinding | None = None) -> float:
     """IEEE double evaluation.  NaN/Inf and out-of-domain arguments raise
     DomainFault; unknown symbols raise UnboundSymbol."""
-    val, _ = eval_with_scale(e, point, binding)
-    return val
+    return _run_tape(e, point, binding)[-1]
 
 
 def eval_with_scale(e: Expr, point: Mapping[Expr, float] | None = None,
@@ -772,6 +771,14 @@ def eval_with_scale(e: Expr, point: Mapping[Expr, float] | None = None,
     left-to-right walk of the tree first finishes it.  Value, scale and
     the first fault raised are therefore those of a walk that visits
     every node, shared subtrees as often as they occur."""
+    vals = _run_tape(e, point, binding)
+    return vals[-1], max(map(abs, vals))
+
+
+def _run_tape(e: Expr, point, binding) -> list:
+    """The value of every slot of ``e``'s tape (built on first use), the
+    root's last; the one evaluation loop behind :func:`eval_numeric` and
+    :func:`eval_with_scale`."""
     point = point or {}
     binding = binding or _NO_BINDING
     try:
@@ -837,7 +844,7 @@ def eval_with_scale(e: Expr, point: Mapping[Expr, float] | None = None,
         if not isfinite(v):
             raise DomainFault("non-finite intermediate value")
         vals[i] = v
-    return vals[-1], max(map(abs, vals))
+    return vals
 
 
 def _compile(e: Expr):

@@ -1,17 +1,19 @@
 """Floating-point validation of exact solutions: adaptive quadrature,
 one damped Newton solver (with a bisection safeguard for one unknown)
 for implicit relations and small systems, and PDE residuals via exact
-symbolic derivatives or finite differences."""
+symbolic derivatives (of an implicit chain, by the implicit function
+theorem) or finite differences."""
 
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from .expr import (
     DomainFault, Expr, ExprError, Jet, OpaqueInstance, ParameterBinding,
-    Var, atoms, eval_numeric,
+    Var, add, atoms, diff_partial, eval_numeric, mul,
 )
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
@@ -370,15 +372,20 @@ def residual_explicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
         DEFAULT_EXPLICIT_TOL if tol is None else tol, "numeric")
 
 
+def _solve_chain(sol: SolutionForm, point, binding) -> dict:
+    """The base point with every relation's unknown solved, in order."""
+    p = dict(point)
+    for unknown, res, guess, bracket in sol.relations:
+        p[unknown] = solve_implicit(res, unknown, p, binding, guess, bracket)
+    return p
+
+
 def _solve_solution_at(sol: SolutionForm, point, binding) -> float:
     """Value of the solution's dependent variable at a base point."""
     if sol.kind == "explicit":
         expr = dict(sol.explicit)[sol.dep]
         return eval_numeric(expr, point, binding)
-    p = dict(point)
-    for unknown, res, guess, bracket in sol.relations:
-        p[unknown] = solve_implicit(res, unknown, p, binding, guess, bracket)
-    return p[sol.relations[-1][0]]
+    return _solve_chain(sol, point, binding)[sol.relations[-1][0]]
 
 
 def _fd_stencil_1d(order: int, h: float):
@@ -393,13 +400,14 @@ def _fd_stencil_1d(order: int, h: float):
     raise ValueError("finite differences implemented up to second order")
 
 
-def residual_implicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
-                      binding: ParameterBinding | None = None,
-                      tol: float | None = None) -> Result:
+def residual_fd(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
+                binding: ParameterBinding | None = None,
+                tol: float | None = None) -> Result:
     """Evaluate the equation residual with derivatives formed by central
     finite differences on values of the (implicitly defined) solution;
     pass iff the largest |residual| is at most ``tol`` (None:
-    DEFAULT_IMPLICIT_TOL)."""
+    DEFAULT_IMPLICIT_TOL).  It shares no derivative code with
+    :func:`residual_implicit`, and is kept as its independent oracle."""
     binding = binding or ParameterBinding()
     if len(eq.equations) != 1:
         raise ValueError("residual_implicit checks a single equation")
@@ -452,3 +460,109 @@ def residual_implicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
     return _solution_result(
         worst, skipped, len(pts), plan.seed,
         DEFAULT_IMPLICIT_TOL if tol is None else tol, "finite-difference")
+
+
+def _sub_indices(index: tuple) -> set:
+    """Every multi-index at or below ``index`` (a Jet index), () included."""
+    names = [v for v, _ in index]
+    return {tuple((v, c) for v, c in zip(names, counts) if c)
+            for counts in product(*(range(c + 1) for _, c in index))}
+
+
+def _chain_derivative(e: Expr, v: str, families: dict, memos: dict) -> Expr:
+    """D_v e along an implicit chain: the partial in ``v`` plus, for each
+    unknown or unknown derivative S in ``e``, dE/dS times S lifted by
+    ``v``.  ``families`` maps each unknown to its family name."""
+    names = set(families.values())
+    parts = [diff_partial(e, Var(v), memos)]
+    for a in atoms(e):
+        fam = families.get(a)
+        if fam is not None:
+            lifted = Jet(fam, ((v, 1),))
+        elif isinstance(a, Jet) and a.dep in names:
+            lifted = a.lift(v)
+        else:
+            continue
+        parts.append(mul(diff_partial(e, a, memos), lifted))
+    return add(*parts)
+
+
+def _chain_jets(relations, indices):
+    """The implicit-function derivatives of a relation chain, built once.
+
+    For relation ``R_i(x, s_1..s_i)`` and each multi-index a in
+    ``indices`` (closed under taking sub-indices), ``E_ia = D^a R_i`` is
+    affine in ``S_ia``, the a-derivative of ``s_i``, with coefficient
+    ``dR_i/ds_i``, so ``S_ia = -E_ia|_{S_ia=0} / (dR_i/ds_i)`` (Krantz &
+    Parks, The Implicit Function Theorem, 2002).  Returns the
+    denominators ``[dR_i/ds_i]`` and the steps ``(S_ia, E_ia, i)`` for
+    every nonempty a, in an order they can be evaluated in: by |a|, and
+    by i within each a."""
+    memos: dict = {}
+    # the dependent name of each unknown's derivative symbols: a declared
+    # dependent keeps its own jets; an auxiliary unknown (a Param) gets a
+    # name the .prob parser cannot produce
+    families = {u: u.dep if isinstance(u, Jet) else u.name + "#"
+                for u, *_ in relations}
+    dens = [diff_partial(res, unknown, memos) for unknown, res, *_ in relations]
+    built = {((), i): rel[1] for i, rel in enumerate(relations)}
+    steps = []
+    for a in sorted(indices, key=lambda a: (sum(c for _, c in a), a))[1:]:
+        # a is the first variable's derivative of its parent index
+        (v, c), rest = a[0], a[1:]
+        lower = ((v, c - 1),) + rest if c > 1 else rest
+        for i, (unknown, *_) in enumerate(relations):
+            e = built[a, i] = _chain_derivative(built[lower, i], v, families,
+                                                memos)
+            steps.append((Jet(families[unknown], a), e, i))
+    return dens, steps
+
+
+def residual_implicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
+                      binding: ParameterBinding | None = None,
+                      tol: float | None = None) -> Result:
+    """Evaluate the equation residual on exact derivatives of the
+    implicitly defined solution: one chain solve per point gives the
+    unknowns, and the implicit function theorem (:func:`_chain_jets`)
+    gives every derivative the equation needs, of any order.  A point
+    where a relation is singular in its unknown is skipped.  Pass iff
+    the largest |residual| is at most ``tol`` (None:
+    DEFAULT_IMPLICIT_TOL)."""
+    if sol.kind != "implicit":
+        raise ValueError("residual_implicit needs an implicit solution form")
+    binding = binding or ParameterBinding()
+    if len(eq.equations) != 1:
+        raise ValueError("residual_implicit checks a single equation")
+    lhs, rhs = eq.equations[0]
+    residual = lhs - rhs
+    indices = {()}
+    for j in atoms(residual, Jet):
+        if j.dep == lhs.dep:
+            indices |= _sub_indices(j.index)
+    dens, steps = _chain_jets(sol.relations, indices)
+
+    base_vars = [Var(x) for x in eq.js.independent]
+    # as in residual_fd: constraints on jet coordinates cannot guide
+    # point sampling, and rely on DomainFault skips
+    samplable = tuple(c for c in tuple(eq.constraints) + tuple(sol.constraints)
+                      if not atoms(c.expr, Jet))
+    pts = _plan_points(plan, base_vars, samplable, binding)
+    skipped = 0
+    worst = 0.0
+    for p in pts:
+        try:
+            env = _solve_chain(sol, p, binding)
+            den = [eval_numeric(d, env, binding) for d in dens]
+            if 0.0 in den:
+                raise DomainFault("relation is singular in its unknown")
+            for sym, e, i in steps:
+                env[sym] = 0.0
+                env[sym] = -eval_numeric(e, env, binding) / den[i]
+            val = eval_numeric(residual, env, binding)
+        except (NoConvergence, DomainFault):
+            skipped += 1
+            continue
+        worst = max(worst, abs(val))
+    return _solution_result(
+        worst, skipped, len(pts), plan.seed,
+        DEFAULT_IMPLICIT_TOL if tol is None else tol, "implicit-exact")

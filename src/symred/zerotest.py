@@ -75,7 +75,9 @@ class Result:
     the verdict was computed with."""
 
     verdict: str
-    provenance: str = "symbolic"  # symbolic/probabilistic/numeric/finite-difference
+    # symbolic/probabilistic; numeric (explicit solution), implicit-exact
+    # (implicit solution), finite-difference (solution under --fd)
+    provenance: str = "symbolic"
     witness: dict | None = None
     witness_value: float = 0.0
     points_tested: int = 0

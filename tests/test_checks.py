@@ -1,3 +1,7 @@
+from fractions import Fraction
+
+import pytest
+
 from symred.checks import (
     check_classical, check_conditional, check_lie_backlund,
     invariant_surface_conditions, novelty_diagnostic,
@@ -116,3 +120,42 @@ def test_novelty_diagnostic_deterministic_across_seeds():
 def test_novelty_diagnostic_records_assumption():
     diag = novelty_diagnostic(translations(), family_gradient_zero(), t=1, js=JS)
     assert any("involutivity" in a for a in diag.assumptions)
+
+
+def _qcond(bundles, scale_xi_only: bool):
+    # sg_deformed:Qcond (xi x3 = 1) scaled by 8/7: all of it, a
+    # conditional symmetry again, or only xi x3, a mutant
+    b = bundles["sg_deformed"]
+    entry = b.operators["Qcond"]
+    c = Num(Fraction(8, 7))
+    vf = entry.operator
+    if scale_xi_only:
+        vf = VectorField({k: c * v for k, v in vf.xi.items()}, vf.eta)
+    else:
+        vf = vf.scaled(c)
+    return vf, b.equations[entry.on]
+
+
+def test_conditional_solves_along_a_nonunit_constant_xi(bundles):
+    vf, target = _qcond(bundles, scale_xi_only=False)
+    assert vf.xi["x3"] == Num(Fraction(8, 7))
+    for seed in (0, 1):
+        assert check_conditional(vf, target, seed=seed).verdict == "pass"
+
+
+def test_conditional_with_scaled_xi_only_gets_a_verdict(bundles):
+    vf, target = _qcond(bundles, scale_xi_only=True)
+    assert check_conditional(vf, target).verdict in ("pass", "fail")
+
+
+def test_invariant_surface_conditions_divide_by_the_pivot():
+    vf = VectorField({"x1": Num(2), "x2": Num(1)}, {"u": Jet("u")})
+    [(lhs, rhs)] = invariant_surface_conditions(vf, JS)
+    assert lhs == JS.jet("u", "x1")
+    assert rhs == (Jet("u") - JS.jet("u", "x2")) / Num(2)
+
+
+def test_invariant_surface_conditions_need_a_constant_xi():
+    vf = VectorField({"x1": Var("x2")}, {"u": Jet("u")})
+    with pytest.raises(ValueError, match="constant nonzero xi"):
+        invariant_surface_conditions(vf, JS)

@@ -144,6 +144,25 @@ def test_tape_matches_reference_walker(recipe, draws):
         assert math.copysign(1.0, gv) == math.copysign(1.0, wv)
 
 
+@settings(max_examples=300, deadline=None)
+@given(recipes(), st.tuples(VALUES, VALUES, VALUES, VALUES, VALUES,
+                            st.booleans()))
+def test_eval_numeric_is_the_value_of_eval_with_scale(recipe, draw):
+    # one tape loop behind both; eval_numeric just takes no scale
+    e = build(recipe)
+    x1, x2, u, ux, d, bind_d = draw
+    point = {X1: x1, X2: x2, U: u, UX: ux}
+    if bind_d:
+        point[D] = d
+    want = _outcome(eval_with_scale, e, point)
+    got = _outcome(eval_numeric, e, point)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got == want[0]
+    assert math.copysign(1.0, got) == math.copysign(1.0, want[0])
+
+
 def test_shared_subtree_fault_order():
     # ln(x1) is shared; it faults before the unbound z is reached
     shared = func("ln", X1)

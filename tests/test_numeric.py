@@ -1,4 +1,7 @@
+import gc
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +11,8 @@ from symred.expr import (
 from symred.jets import JetSpace
 from symred.numeric import (
     NoConvergence, SamplePlan, SolutionForm, newton_system, quadrature,
-    quadrature_instance, residual_explicit, residual_implicit, solve_implicit,
+    quadrature_instance, residual_explicit, residual_fd, residual_implicit,
+    solve_implicit,
 )
 from symred.systems import EquationSystem
 from symred.zerotest import Constraint
@@ -104,7 +108,7 @@ def test_residual_implicit_on_explicit_form():
     js, sys_ = decay_system()
     sol = SolutionForm(kind="explicit",
                        explicit=(("u", func("exp", -Var("t"))),), dep="u")
-    rep = residual_implicit(sol, sys_,
+    rep = residual_fd(sol, sys_,
                             SamplePlan(box={"t": (0.0, 2.0)}, n=16, h=1e-5))
     assert rep.verdict != "inconclusive"
     assert rep.witness_value < 1e-6
@@ -153,3 +157,130 @@ def test_grid_plan_point_count():
     rep = residual_explicit(sol, sys_,
                             SamplePlan(box={"t": (0.0, 2.0)}, grid=(7,)))
     assert rep.points_tested + rep.points_skipped == 7
+
+
+# -- exact implicit-function derivatives against the finite-difference
+# oracle ------------------------------------------------------------------
+
+XT = JetSpace(("x", "t"), {"u": ("x", "t")})
+XT_JETS = [(), ("x",), ("t",), ("x", "x"), ("x", "t"), ("t", "t")]
+# |jet - OFFSET| keeps the sign of a jet that is smaller than OFFSET
+OFFSET = Num(1000)
+
+
+def _both_paths(sol, jet_vars, box, steps=(1e-3, 5e-4)):
+    """|jet - OFFSET| at the box's centre by the exact path, then by
+    finite differences with each step."""
+    sys_ = EquationSystem(XT, [(XT.jet("u", *jet_vars), OFFSET)])
+    out = []
+    for residual, h in [(residual_implicit, 0.0)] + \
+            [(residual_fd, h) for h in steps]:
+        rep = residual(sol, sys_, SamplePlan(box=box, grid=(1, 1), h=h))
+        assert rep.points_skipped == 0
+        out.append(rep.witness_value)
+    return out
+
+
+def _random_chain(seed: int, two: bool) -> SolutionForm:
+    """A chain whose relations are increasing in their unknowns (slope at
+    least 1 - |k| > 0), so each has one root."""
+    rng = random.Random(seed)
+    c = [Num(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(6)]
+    k = [Num(Fraction(rng.randint(-4, 4), 5)) for _ in range(2)]
+    X, T = Var("x"), Var("t")
+    u = Jet("u")
+    s = Param("s")
+    if two:
+        r1 = s + k[0] * func("sin", s) - c[0] * X * T - c[1] * func("exp", c[2] * X)
+        r2 = u + k[1] * func("sin", u + s) - c[3] * s * X - c[4] * T \
+            - c[5] * func("cos", s * T)
+        rel = ((s, r1, 0.0, (-50.0, 50.0)), (u, r2, 0.0, (-50.0, 50.0)))
+    else:
+        r = u + k[0] * func("sin", u) - c[0] * X * T - c[1] * func("exp", c[2] * X) \
+            - c[3] * func("cos", c[4] * T + c[5] * X)
+        rel = ((u, r, 0.0, (-50.0, 50.0)),)
+    return SolutionForm(kind="implicit", relations=rel, dep="u")
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("two", (False, True))
+def test_exact_derivatives_match_finite_differences(seed, two):
+    sol = _random_chain(seed, two)
+    rng = random.Random(100 + seed)
+    x0, t0 = rng.uniform(-1, 1), rng.uniform(0.2, 1)
+    box = {"x": (x0, x0), "t": (t0, t0)}
+    for jet_vars in XT_JETS:
+        exact, fd_h, fd_half = _both_paths(sol, jet_vars, box)
+        # central differences err by C h^2, so the error at step h/2 is
+        # a third of the change from h to h/2; the floor is rounding
+        # (about 1e-16 |u| / h^2 for a second derivative)
+        assert abs(exact - fd_half) <= abs(fd_h - fd_half) + 1e-6, jet_vars
+
+
+def test_exact_path_on_eq6_matches_finite_differences(bundles):
+    b = bundles["eq6"]
+    sys_ = b.system("eq6")
+    for name in ("implicitTheta", "thetaFlipped"):
+        spec = b.solutions[name]
+        form = spec.make_form(sys_.js.dependents)
+        args = (form, sys_, spec.make_plan(seed=0), spec.make_binding())
+        exact = residual_implicit(*args, tol=spec.tol)
+        fd = residual_fd(*args, tol=spec.tol)
+        assert exact.provenance == "implicit-exact"
+        assert fd.provenance == "finite-difference"
+        assert (exact.verdict, exact.points_skipped) == \
+            (fd.verdict, fd.points_skipped)
+        # h = 1e-4: finite differences are good to about 1e-6 here
+        assert exact.witness_value == pytest.approx(fd.witness_value, abs=1e-6)
+        if name == "implicitTheta":
+            # the true solution's residual is rounding only
+            assert exact.witness_value < 1e-12
+
+
+def test_exact_path_has_no_order_limit():
+    # u = exp(x + t) solves u_t = u_xxx
+    sys_ = EquationSystem(XT, [(XT.jet("u", "t"), XT.jet("u", "x", "x", "x"))])
+    u = Jet("u")
+    sol = SolutionForm(kind="implicit", dep="u", relations=(
+        (u, u - func("exp", Var("x") + Var("t")), 1.0, (1e-6, 50.0)),))
+    plan = SamplePlan(box={"x": (0.0, 1.0), "t": (0.0, 1.0)}, n=16)
+    rep = residual_implicit(sol, sys_, plan)
+    assert rep.verdict == "pass" and rep.points_skipped == 0
+    assert rep.witness_value < 1e-12
+    with pytest.raises(ValueError, match="order <= 2"):
+        residual_fd(sol, sys_, plan)
+
+
+def test_singular_relation_point_is_skipped():
+    # (x - 1/2)(u - exp(t)) = 0 is solved by u = exp(t), but dR/du
+    # vanishes on the grid point x = 1/2, where every u is a root
+    sys_ = EquationSystem(XT, [(XT.jet("u", "t"), Jet("u"))])
+    u = Jet("u")
+    rel = (Var("x") - Num(Fraction(1, 2))) * (u - func("exp", Var("t")))
+    sol = SolutionForm(kind="implicit", dep="u",
+                       relations=((u, rel, 0.5, None),))
+    plan = SamplePlan(box={"x": (0.0, 1.0), "t": (0.0, 1.0)}, grid=(5, 1))
+    rep = residual_implicit(sol, sys_, plan)
+    assert (rep.points_tested, rep.points_skipped) == (4, 1)
+    assert rep.verdict == "pass" and rep.witness_value < 1e-12
+
+
+def test_exact_path_leaves_no_reference_cycles(bundles):
+    # the derivative trees of a call are freed by reference counting,
+    # not left for the cyclic collector
+    b = bundles["eq6"]
+    sys_ = b.system("eq6")
+    spec = b.solutions["implicitTheta"]
+    args = (spec.make_form(sys_.js.dependents), sys_, spec.make_plan(),
+            spec.make_binding())
+
+    def garbage(residual):
+        gc.collect()
+        gc.disable()
+        try:
+            residual(*args)
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    assert garbage(residual_implicit) <= garbage(residual_fd)
