@@ -1,5 +1,6 @@
-"""Invariance criteria: classical, conditional, Lie-Backlund, and the
-classical-invariance novelty diagnostic."""
+"""Invariance criteria: classical, conditional, Lie-Backlund (the
+classical check of the evolutionary field), and the classical-invariance
+novelty diagnostic."""
 
 from __future__ import annotations
 
@@ -77,18 +78,16 @@ def check_conditional(vf: VectorField, sys: EquationSystem, seed: int = 0,
 def check_lie_backlund(op: CanonicalOperator, ode: EquationSystem, seed: int = 0,
                        tol_abs: float = 1e-9, tol_rel: float = 1e-9,
                        binding=None) -> Result:
-    """Lie-Backlund invariance of a single solved-form ODE, restricted to
-    the ODE manifold including mixed-variable differential consequences."""
+    """Lie-Backlund invariance of a single solved-form ODE: the classical
+    check of the operator's evolutionary field U d/du, restricted to the
+    ODE manifold including mixed-variable differential consequences."""
     if len(ode.equations) != 1:
         raise ValueError("check_lie_backlund expects a single equation")
-    lhs, rhs = ode.equations[0]
+    lhs, _ = ode.equations[0]
     if len(lhs.index) != 1:
         raise ValueError("leading coordinate must be a pure derivative in one variable")
-    res = apply_operator(op, lhs - rhs, js=ode.js)
-    res = restrict_to_manifold(res, ode)
-    zr = is_zero(res, ode.constraints, seed=check_seed(seed, 0),
-                 tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
-    return combine([("equation 0", zr)], seed, tol_abs, tol_rel)
+    return check_classical(op.field(), ode, seed=seed, tol_abs=tol_abs,
+                           tol_rel=tol_rel, binding=binding)
 
 
 @dataclass

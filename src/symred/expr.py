@@ -228,10 +228,6 @@ def _coerce(v) -> Expr:
     raise TypeError(f"cannot coerce {v!r} to Expr")
 
 
-def integer(n) -> Num:
-    return Num(Fraction(n))
-
-
 def rational(p, q) -> Num:
     return Num(Fraction(p, q))
 

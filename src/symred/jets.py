@@ -1,4 +1,8 @@
-"""Jet spaces, total derivatives, and prolongation of symmetry operators."""
+"""Jet spaces, total derivatives, and prolongation of symmetry operators.
+
+A point field is prolonged by the standard recursion; a canonical
+(Lie-Backlund) operator by the same recursion, as its evolutionary
+field U d/du with xi = 0."""
 
 from __future__ import annotations
 
@@ -130,7 +134,8 @@ class VectorField:
 @dataclass(frozen=True)
 class CanonicalOperator:
     """Lie-Backlund operator in canonical form: characteristic U per
-    dependent variable, no xi part."""
+    dependent variable, no xi part.  Its prolongation is that of the
+    evolutionary point field U d/du (:meth:`field`)."""
 
     characteristics: dict
     name: str = ""
@@ -138,6 +143,10 @@ class CanonicalOperator:
     def __post_init__(self):
         if not any(v != ZERO for v in self.characteristics.values()):
             raise ValueError("canonical operator needs a nonzero characteristic")
+
+    def field(self) -> VectorField:
+        """The evolutionary field: xi = 0, eta = the characteristics."""
+        return VectorField({}, self.characteristics, name=self.name)
 
     def max_order(self) -> int:
         return max((a.order for u in self.characteristics.values()
@@ -190,52 +199,31 @@ def prolong(vf: VectorField, order: int, js: JetSpace) -> ProlongedField:
     return ProlongedField(vf, order, js)
 
 
-class _CanonicalApplier:
-    def __init__(self, op: CanonicalOperator, js: JetSpace):
-        self.op = op
-        self.js = js
-        self._cache: dict = {}
-
-    def coefficient(self, jet: Jet) -> Expr:
-        key = (jet.dep, jet.index)
-        if key not in self._cache:
-            u = self.op.characteristics.get(jet.dep, ZERO)
-            self._cache[key] = total_derivative_multi(u, jet.index, self.js)
-        return self._cache[key]
-
-
 def apply_operator(pf, e: Expr, js: JetSpace | None = None) -> Expr:
-    """Lie derivative of ``e`` along a prolonged point field or a
-    canonical operator (whose coefficients D_J U are generated on
-    demand)."""
-    if isinstance(pf, ProlongedField):
-        js = pf.js
-        jets = atoms(e, Jet)
-        hosted = [a for a in jets if a.dep in js.dependents]
-        if any(a.order > pf.order for a in hosted):
-            raise InsufficientProlongationOrder(
-                f"expression has order {max(a.order for a in hosted)}, "
-                f"prolongation only goes to {pf.order}")
-        parts = []
-        for xj, xij in pf.vf.xi.items():
-            d = diff_partial(e, Var(xj))
-            if d != ZERO:
-                parts.append(mul(xij, d))
-        for a in sorted(hosted, key=lambda j: (j.dep, j.index)):
-            d = diff_partial(e, a)
-            if d != ZERO:
-                parts.append(mul(pf.coefficient(a), d))
-        return add(*parts)
+    """Lie derivative of ``e`` along a prolonged point field.  A
+    canonical operator U d/du stands for its evolutionary field, the
+    point field with xi = 0 and eta = U, prolonged on ``js`` to the
+    order of ``e`` (at least 1): its coefficients are D_J U (Olver,
+    Applications of Lie Groups to Differential Equations, Sec. 5.1)."""
     if isinstance(pf, CanonicalOperator):
         if js is None:
             raise ValueError("canonical operators need an explicit jet space")
-        applier = _CanonicalApplier(pf, js)
-        parts = []
-        for a in sorted(atoms(e, Jet), key=lambda j: (j.dep, j.index)):
-            if a.dep not in pf.characteristics:
-                continue
-            d = diff_partial(e, a)
-            if d != ZERO:
-                parts.append(mul(applier.coefficient(a), d))
-        return add(*parts)
-    raise TypeError(type(pf))
+        order = max((a.order for a in atoms(e, Jet)), default=0)
+        pf = prolong(pf.field(), max(order, 1), js)
+    if not isinstance(pf, ProlongedField):
+        raise TypeError(type(pf))
+    hosted = [a for a in atoms(e, Jet) if a.dep in pf.js.dependents]
+    if any(a.order > pf.order for a in hosted):
+        raise InsufficientProlongationOrder(
+            f"expression has order {max(a.order for a in hosted)}, "
+            f"prolongation only goes to {pf.order}")
+    parts = []
+    for xj, xij in pf.vf.xi.items():
+        d = diff_partial(e, Var(xj))
+        if d != ZERO:
+            parts.append(mul(xij, d))
+    for a in sorted(hosted, key=lambda j: (j.dep, j.index)):
+        d = diff_partial(e, a)
+        if d != ZERO:
+            parts.append(mul(pf.coefficient(a), d))
+    return add(*parts)

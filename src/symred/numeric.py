@@ -291,11 +291,21 @@ class SamplePlan:
     grid: tuple = ()  # optional (nx, ny, ...) regular grid instead of random
 
 
-def _solution_result(worst: float, skipped: int, total: int, seed: int,
-                     tol: float, provenance: str) -> Result:
-    """Inconclusive when nothing was tested or more than a fifth of the
-    points were skipped; else pass iff the largest |residual| is within
-    ``tol``."""
+def _check_points(pts, residual_at, seed: int, tol: float,
+                  provenance: str) -> Result:
+    """The one sample-point loop of every solution check: ``residual_at``
+    gives the largest |residual| at a point, and a point where it raises
+    NoConvergence or DomainFault is skipped.  Inconclusive when nothing
+    was tested or more than a fifth of the points were skipped; else
+    pass iff the largest |residual| is within ``tol``."""
+    skipped = 0
+    worst = 0.0
+    for p in pts:
+        try:
+            worst = max(worst, residual_at(p))
+        except (NoConvergence, DomainFault):
+            skipped += 1
+    total = len(pts)
     if total == 0 or skipped > 0.2 * total:
         verdict = INCONCLUSIVE
     else:
@@ -356,20 +366,10 @@ def residual_explicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
     constraints = tuple(
         Constraint(restrict_to_manifold(c.expr, sub_sys), c.rel)
         for c in tuple(eq.constraints) + tuple(sol.constraints))
-    pts = _plan_points(plan, vars_, constraints, binding)
-    skipped = 0
-    worst = 0.0
-    for p in pts:
-        try:
-            vals = [eval_numeric(r, p, binding) for r in residuals]
-        except DomainFault:
-            skipped += 1
-            continue
-        m = max(abs(v) for v in vals)
-        worst = max(worst, m)
-    return _solution_result(
-        worst, skipped, len(pts), plan.seed,
-        DEFAULT_EXPLICIT_TOL if tol is None else tol, "numeric")
+    return _check_points(
+        _plan_points(plan, vars_, constraints, binding),
+        lambda p: max(abs(eval_numeric(r, p, binding)) for r in residuals),
+        plan.seed, DEFAULT_EXPLICIT_TOL if tol is None else tol, "numeric")
 
 
 def _solve_chain(sol: SolutionForm, point, binding) -> dict:
@@ -400,6 +400,30 @@ def _fd_stencil_1d(order: int, h: float):
     raise ValueError("finite differences implemented up to second order")
 
 
+def _one_equation(fn: str, sol: SolutionForm, eq: EquationSystem,
+                  plan: SamplePlan, binding, max_order: int | None = None):
+    """The residual of ``eq``'s single equation, the jets of its
+    dependent in it (by order), the base variables and the plan's points.
+    More than one equation, or a jet above ``max_order``, is a
+    ValueError naming ``fn``, raised before any point is sampled.
+    Constraints that mention jet coordinates cannot guide point sampling
+    (derivative values only exist after the solve); those points rely on
+    DomainFault skips."""
+    if len(eq.equations) != 1:
+        raise ValueError(f"{fn} checks a single equation")
+    lhs, rhs = eq.equations[0]
+    residual = lhs - rhs
+    jets = sorted((a for a in atoms(residual, Jet) if a.dep == lhs.dep),
+                  key=lambda j: (j.order, j.index))
+    if max_order is not None and any(j.order > max_order for j in jets):
+        raise ValueError(f"{fn} supports equations of order <= {max_order}")
+    base_vars = [Var(x) for x in eq.js.independent]
+    samplable = tuple(c for c in tuple(eq.constraints) + tuple(sol.constraints)
+                      if not atoms(c.expr, Jet))
+    return residual, jets, base_vars, _plan_points(plan, base_vars, samplable,
+                                                   binding)
+
+
 def residual_fd(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
                 binding: ParameterBinding | None = None,
                 tol: float | None = None) -> Result:
@@ -409,27 +433,11 @@ def residual_fd(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
     DEFAULT_IMPLICIT_TOL).  It shares no derivative code with
     :func:`residual_implicit`, and is kept as its independent oracle."""
     binding = binding or ParameterBinding()
-    if len(eq.equations) != 1:
-        raise ValueError("residual_implicit checks a single equation")
-    lhs, rhs = eq.equations[0]
-    dep = lhs.dep
-    residual = lhs - rhs
-    jets = sorted((a for a in atoms(residual, Jet) if a.dep == dep),
-                  key=lambda j: (j.order, j.index))
-    if any(j.order > 2 for j in jets):
-        raise ValueError("residual_implicit supports equations of order <= 2")
-
-    base_vars = [Var(x) for x in eq.js.independent]
-    # constraints mentioning jet coordinates cannot guide point sampling
-    # here (derivative values only exist after the solve); rely on
-    # DomainFault skips for those
-    samplable = tuple(c for c in tuple(eq.constraints) + tuple(sol.constraints)
-                      if not atoms(c.expr, Jet))
-    pts = _plan_points(plan, base_vars, samplable, binding)
+    residual, jets, base_vars, pts = _one_equation(
+        "residual_fd", sol, eq, plan, binding, max_order=2)
     h = plan.h
-    skipped = 0
-    worst = 0.0
-    for p in pts:
+
+    def residual_at(p) -> float:
         cache: dict = {}
 
         def value_at(offsets) -> float:
@@ -439,27 +447,23 @@ def residual_fd(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
                 cache[offsets] = _solve_solution_at(sol, q, binding)
             return cache[offsets]
 
-        try:
-            env = dict(p)
-            for j in jets:
-                idx = dict(j.index)
-                stencils = [_fd_stencil_1d(idx.get(v.name, 0), h) for v in base_vars]
-                total = 0.0
-                combos = [((), 1.0)]
-                for st in stencils:
-                    combos = [(offs + (o,), wgt * w) for offs, wgt in combos
-                              for o, w in st]
-                for offs, wgt in combos:
-                    total += wgt * value_at(offs)
-                env[j] = total
-            val = eval_numeric(residual, env, binding)
-        except (NoConvergence, DomainFault):
-            skipped += 1
-            continue
-        worst = max(worst, abs(val))
-    return _solution_result(
-        worst, skipped, len(pts), plan.seed,
-        DEFAULT_IMPLICIT_TOL if tol is None else tol, "finite-difference")
+        env = dict(p)
+        for j in jets:
+            idx = dict(j.index)
+            stencils = [_fd_stencil_1d(idx.get(v.name, 0), h) for v in base_vars]
+            total = 0.0
+            combos = [((), 1.0)]
+            for st in stencils:
+                combos = [(offs + (o,), wgt * w) for offs, wgt in combos
+                          for o, w in st]
+            for offs, wgt in combos:
+                total += wgt * value_at(offs)
+            env[j] = total
+        return abs(eval_numeric(residual, env, binding))
+
+    return _check_points(pts, residual_at, plan.seed,
+                         DEFAULT_IMPLICIT_TOL if tol is None else tol,
+                         "finite-difference")
 
 
 def _sub_indices(index: tuple) -> set:
@@ -531,38 +535,23 @@ def residual_implicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
     if sol.kind != "implicit":
         raise ValueError("residual_implicit needs an implicit solution form")
     binding = binding or ParameterBinding()
-    if len(eq.equations) != 1:
-        raise ValueError("residual_implicit checks a single equation")
-    lhs, rhs = eq.equations[0]
-    residual = lhs - rhs
+    residual, jets, _, pts = _one_equation("residual_implicit", sol, eq, plan,
+                                           binding)
     indices = {()}
-    for j in atoms(residual, Jet):
-        if j.dep == lhs.dep:
-            indices |= _sub_indices(j.index)
+    for j in jets:
+        indices |= _sub_indices(j.index)
     dens, steps = _chain_jets(sol.relations, indices)
 
-    base_vars = [Var(x) for x in eq.js.independent]
-    # as in residual_fd: constraints on jet coordinates cannot guide
-    # point sampling, and rely on DomainFault skips
-    samplable = tuple(c for c in tuple(eq.constraints) + tuple(sol.constraints)
-                      if not atoms(c.expr, Jet))
-    pts = _plan_points(plan, base_vars, samplable, binding)
-    skipped = 0
-    worst = 0.0
-    for p in pts:
-        try:
-            env = _solve_chain(sol, p, binding)
-            den = [eval_numeric(d, env, binding) for d in dens]
-            if 0.0 in den:
-                raise DomainFault("relation is singular in its unknown")
-            for sym, e, i in steps:
-                env[sym] = 0.0
-                env[sym] = -eval_numeric(e, env, binding) / den[i]
-            val = eval_numeric(residual, env, binding)
-        except (NoConvergence, DomainFault):
-            skipped += 1
-            continue
-        worst = max(worst, abs(val))
-    return _solution_result(
-        worst, skipped, len(pts), plan.seed,
-        DEFAULT_IMPLICIT_TOL if tol is None else tol, "implicit-exact")
+    def residual_at(p) -> float:
+        env = _solve_chain(sol, p, binding)
+        den = [eval_numeric(d, env, binding) for d in dens]
+        if 0.0 in den:
+            raise DomainFault("relation is singular in its unknown")
+        for sym, e, i in steps:
+            env[sym] = 0.0
+            env[sym] = -eval_numeric(e, env, binding) / den[i]
+        return abs(eval_numeric(residual, env, binding))
+
+    return _check_points(pts, residual_at, plan.seed,
+                         DEFAULT_IMPLICIT_TOL if tol is None else tol,
+                         "implicit-exact")

@@ -209,6 +209,13 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
     elim_vars = {x for x in a.js.independent if x not in kept}
     orig_deps = set(a.js.dependents)
 
+    def eliminated(r):
+        """The symbols of ``r`` to separate on: the base variables the
+        ansatz eliminates and the jets of the original dependents."""
+        return {s for s in atoms(r)
+                if (isinstance(s, Var) and s.name in elim_vars) or
+                (isinstance(s, Jet) and s.dep in orig_deps)}
+
     residuals = [lhs - rhs for lhs, rhs in original.equations]
     residuals += [r for _, r in _compat_residuals(a.targets, frame.js)]
 
@@ -217,9 +224,7 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
         r = restrict_to_manifold(r, frame.system)
         if a.positive:
             r = assume_positive(r)
-        elim = {s for s in atoms(r)
-                if (isinstance(s, Var) and s.name in elim_vars) or
-                (isinstance(s, Jet) and s.dep in orig_deps)}
+        elim = eliminated(r)
         r = sqrt_pythagoras(r, a.nonneg)
         r = expand(expand_trig(r, elim))
         # even cosine powers only appear once products are distributed,
@@ -229,9 +234,7 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
             if nxt == r:
                 break
             r = nxt
-        elim = {s for s in atoms(r)
-                if (isinstance(s, Var) and s.name in elim_vars) or
-                (isinstance(s, Jet) and s.dep in orig_deps)}
+        elim = eliminated(r)
         for _, coeff in sorted(_coefficient_split(r, elim).items(),
                                  key=lambda kv: repr(kv[0])):
             if coeff == ZERO:

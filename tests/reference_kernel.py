@@ -4,16 +4,23 @@ node's sort key on the node, memoised ``diff_partial`` and
 ``subexpressions``, ``atoms`` and ``opaque_names``, and skipped Fraction
 arithmetic on unit coefficients in ``add`` and ``mul``.  They walk every
 node of the tree, shared subtrees as often as they occur, and are kept
-only as the reference that the fast paths are tested against."""
+only as the reference that the fast paths are tested against.
+
+``_CanonicalApplier`` and ``apply_canonical`` are the canonical-operator
+path of ``symred.jets.apply_operator`` before a canonical operator was
+applied as its prolonged evolutionary field: each coefficient D_J U is
+``total_derivative_multi`` of the characteristic.  Here they build
+through the reference walkers above."""
 
 from fractions import Fraction
 
 from symred.expr import (
     _DIFF_TABLE, _KIND_ADD, _KIND_FUNC, _KIND_JET, _KIND_MUL, _KIND_NUM,
     _KIND_OPAQUE, _KIND_PARAM, _KIND_POW, _KIND_VAR, NUM_MINUS_ONE, ONE,
-    ZERO, Add, Func, Jet, Mul, Num, Opaque, Param, Pow, Var, _coerce,
+    ZERO, Add, Expr, Func, Jet, Mul, Num, Opaque, Param, Pow, Var, _coerce,
     _split_power, children, func, pow_, rebuild,
 )
+from symred.jets import CanonicalOperator, JetSpace, total_derivative_multi
 
 
 def sort_key(e):
@@ -224,3 +231,33 @@ def subexpressions(e):
         n = stack.pop()
         yield n
         stack.extend(children(n))
+
+
+class _CanonicalApplier:
+    def __init__(self, op: CanonicalOperator, js: JetSpace):
+        self.op = op
+        self.js = js
+        self._cache: dict = {}
+
+    def coefficient(self, jet: Jet) -> Expr:
+        key = (jet.dep, jet.index)
+        if key not in self._cache:
+            u = self.op.characteristics.get(jet.dep, ZERO)
+            self._cache[key] = total_derivative_multi(u, jet.index, self.js)
+        return self._cache[key]
+
+
+def apply_canonical(pf, e, js=None):
+    if isinstance(pf, CanonicalOperator):
+        if js is None:
+            raise ValueError("canonical operators need an explicit jet space")
+        applier = _CanonicalApplier(pf, js)
+        parts = []
+        for a in sorted(atoms(e, Jet), key=lambda j: (j.dep, j.index)):
+            if a.dep not in pf.characteristics:
+                continue
+            d = diff_partial(e, a)
+            if d != ZERO:
+                parts.append(mul(applier.coefficient(a), d))
+        return add(*parts)
+    raise TypeError(type(pf))

@@ -2,8 +2,9 @@
 the tape evaluator, the sort key each node stores on itself,
 ``diff_partial``/``substitute`` memoised over shared subtrees (for one
 call, or for the life of a prolonged field), ``add``/``mul`` without
-Fraction arithmetic on unit coefficients, and the walks that visit a
-shared subtree once.  Also the hash each node stores on itself."""
+Fraction arithmetic on unit coefficients, the walks that visit a
+shared subtree once, and a canonical operator applied as its prolonged
+evolutionary field.  Also the hash each node stores on itself."""
 
 import math
 import pickle
@@ -11,7 +12,7 @@ from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from symred import expr
 from symred.expr import (
@@ -20,8 +21,12 @@ from symred.expr import (
     atoms, contains, diff_partial, eval_numeric, eval_with_scale, func, mul,
     opaque, opaque_names, pow_, sort_key, subexpressions, substitute,
 )
-from symred.jets import JetSpace, VectorField, prolong, total_derivative
+from symred.jets import (
+    CanonicalOperator, JetSpace, VectorField, apply_operator, prolong,
+    total_derivative,
+)
 from symred.parser import print_expression
+from symred.zerotest import is_zero
 
 import reference_eval
 import reference_kernel
@@ -446,3 +451,54 @@ def test_caller_memos_are_kept_per_variable():
     assert set(memos) == {x1, x2}
     assert memos[x1][e] == reference_kernel.diff_partial(e, x1)
     assert diff_partial(e, Var("z"), memos) == ZERO
+
+
+# jets of u on JS_U: for a single-variable index both paths build D_J U
+# the same way; for a mixed one they take the total derivatives in
+# another order (D_x1 D_x2 U against D_x2 D_x1 U), so those trees agree
+# only up to the zero test
+SINGLE_INDEX = [JS_U.jet("u", *v) for v in
+                ((), ("x1",), ("x1", "x1"), ("x2",), ("x2", "x2"))]
+MIXED_INDEX = [JS_U.jet("u", "x1", "x2"), JS_U.jet("u", "x1", "x1", "x2")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(recipes(), recipes())
+def test_canonical_operator_matches_reference_applier(char_recipe, e_recipe):
+    char = build(char_recipe)
+    assume(char != ZERO)
+    op = CanonicalOperator({"u": char})
+    body = build(e_recipe)
+    # the body alone may hold no jet above order 0
+    for e in [body] + [mul(body, j) for j in SINGLE_INDEX]:
+        assert apply_operator(op, e, JS_U) == \
+            reference_kernel.apply_canonical(op, e, JS_U)
+    for j in MIXED_INDEX:
+        e = mul(body, j)
+        new = apply_operator(op, e, JS_U)
+        ref = reference_kernel.apply_canonical(op, e, JS_U)
+        verdict = _zero_test(new - ref)
+        # the zero test says nothing where it cannot evaluate
+        assume(verdict != "inconclusive")
+        assert verdict == "zero"
+
+
+def _zero_test(e) -> str:
+    """``is_zero``'s verdict on ``e``; inconclusive also where a constant
+    of ``e`` is beyond float range (a recipe may hold 10**400)."""
+    try:
+        return is_zero(e).verdict
+    except OverflowError:
+        return "inconclusive"
+
+
+def test_canonical_operator_on_an_order_zero_expression():
+    # an order-0 expression is still applied through a field prolonged
+    # to order 1
+    u, x1, u12 = Jet("u"), Var("x1"), JS_U.jet("u", "x1", "x2")
+    op = CanonicalOperator({"u": u12})
+    e = mul(x1, func("sin", u))
+    assert apply_operator(op, e, JS_U) == \
+        reference_kernel.apply_canonical(op, e, JS_U) == \
+        mul(x1, func("cos", u), u12)
+    assert apply_operator(op, x1, JS_U) == ZERO

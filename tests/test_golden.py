@@ -2,7 +2,11 @@
 --seed 0..4 --format json-lines`` must reproduce
 ``data/paper_suite_seed0-4.jsonl`` byte for byte.  A change that means to
 alter a row regenerates the file with that command and says which rows
-changed and why.  The symbolic path of prolongation and restriction is
+changed and why.  The finite-difference oracle path is pinned the same
+way: ``symred paper-suite --seed 0..4 --fd --format json-lines`` must
+reproduce ``data/paper_suite_fd_seed0-4.jsonl`` (its ``eq4:eq5`` rows
+are ``error``: that solution is a system, and ``residual_fd`` checks a
+single equation).  The symbolic path of prolongation and restriction is
 pinned as printed trees in ``data/ladder_restricted_m4_m5.txt``."""
 
 from pathlib import Path
@@ -14,6 +18,7 @@ from symred.problems import parse_problem
 from symred.systems import restrict_to_manifold
 
 GOLDEN = Path(__file__).parent / "data" / "paper_suite_seed0-4.jsonl"
+GOLDEN_FD = Path(__file__).parent / "data" / "paper_suite_fd_seed0-4.jsonl"
 
 
 def test_paper_suite_output_matches_golden_file(capsys):
@@ -21,6 +26,16 @@ def test_paper_suite_output_matches_golden_file(capsys):
     out = capsys.readouterr().out
     assert code == 0
     want = GOLDEN.read_text(encoding="utf-8")
+    assert out.count("\n") == want.count("\n") == 125
+    assert out == want
+
+
+def test_paper_suite_fd_output_matches_golden_file(capsys):
+    code = main(["paper-suite", "--seed", "0..4", "--fd",
+                 "--format", "json-lines"])
+    out = capsys.readouterr().out
+    assert code == 4  # the five eq4:eq5 error rows
+    want = GOLDEN_FD.read_text(encoding="utf-8")
     assert out.count("\n") == want.count("\n") == 125
     assert out == want
 

@@ -1,5 +1,5 @@
-"""Repository hygiene: no unused imports in the library, and the library
-runs without numpy."""
+"""Repository hygiene: no unused imports and no unread module-level
+definitions in the library, and the library runs without numpy."""
 
 import ast
 import os
@@ -41,6 +41,61 @@ def test_unused_import_scan_sees_an_unused_name(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("import os\nfrom math import pi, tau\nprint(tau)\n")
     assert _unused_imports(mod) == ["mod.py:1 os", "mod.py:2 pi"]
+
+
+def _definitions(path: Path) -> dict:
+    """Module-level functions, classes and assigned names of a module,
+    name -> line (dunder names left out)."""
+    out = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                out.update((n.id, node.lineno) for n in ast.walk(t)
+                           if isinstance(n, ast.Name))
+    return {n: ln for n, ln in out.items() if not n.startswith("__")}
+
+
+def _reads(paths) -> set:
+    """Every name the files read, as a name or as an attribute (an import
+    alone is not a read)."""
+    out = set()
+    for path in paths:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+    return out
+
+
+def _unread_definitions(modules, readers) -> list:
+    read = _reads(readers)
+    return sorted(f"{path.name}:{ln} {name}" for path in modules
+                  for name, ln in _definitions(path).items()
+                  if name not in read)
+
+
+def test_every_library_definition_is_read():
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert _unread_definitions(modules, list(SRC.glob("*.py")) + tests) == []
+
+
+def test_unread_definition_scan_sees_an_unread_name(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("A = 1\nB, C = 2, 3\n__all__ = []\n"
+                   "def f():\n    return A\n"
+                   "def g():\n    pass\n"
+                   "class K:\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from mod import g, K\nimport mod\nmod.f()\nprint(C)\n")
+    assert _unread_definitions([mod], [mod, user]) == \
+        ["mod.py:2 B", "mod.py:6 g", "mod.py:8 K"]
 
 
 def test_paper_suite_runs_without_numpy():
