@@ -9,25 +9,21 @@ from dataclasses import dataclass, field
 from .expr import Jet, Num, ZERO, add, mul, pow_
 from .jets import CanonicalOperator, JetSpace, VectorField, apply_operator, prolong
 from .systems import EquationSystem, restrict_to_manifold
-from .zerotest import Result, check_seed, combine, is_zero
+from .zerotest import Result, check_parts, check_seed
 
 
 def check_classical(vf: VectorField, sys: EquationSystem, seed: int = 0,
-                    extra=(), tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                    binding=None) -> Result:
+                    extra=(), tol_abs: float = 1e-9,
+                    tol_rel: float = 1e-9) -> Result:
     """Apply the prolonged field to each equation, restrict to the
     manifold (with consequences), zero-test.  Pass iff all residuals
     vanish."""
-    order = max(sys.order, 1)
-    pf = prolong(vf, order, sys.js)
-    results = []
-    for i, (lhs, rhs) in enumerate(sys.equations):
-        res = apply_operator(pf, lhs - rhs)
-        res = restrict_to_manifold(res, sys, extra=extra)
-        zr = is_zero(res, sys.constraints, seed=check_seed(seed, i),
-                     tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
-        results.append((f"equation {i}", zr))
-    return combine(results, seed, tol_abs, tol_rel)
+    pf = prolong(vf, max(sys.order, 1), sys.js)
+    parts = ((f"equation {i}",
+              restrict_to_manifold(apply_operator(pf, lhs - rhs), sys,
+                                   extra=extra))
+             for i, (lhs, rhs) in enumerate(sys.equations))
+    return check_parts(parts, sys.constraints, seed, tol_abs, tol_rel)
 
 
 def _constant_pivot(vf: VectorField):
@@ -66,18 +62,16 @@ def invariant_surface_conditions(vf: VectorField, js: JetSpace):
 
 
 def check_conditional(vf: VectorField, sys: EquationSystem, seed: int = 0,
-                      tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                      binding=None) -> Result:
+                      tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
     """As check_classical, but the manifold also carries the operator's
     own invariant-surface conditions and their consequences."""
     extras = invariant_surface_conditions(vf, sys.js)
     return check_classical(vf, sys, seed=seed, extra=extras,
-                           tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
+                           tol_abs=tol_abs, tol_rel=tol_rel)
 
 
 def check_lie_backlund(op: CanonicalOperator, ode: EquationSystem, seed: int = 0,
-                       tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                       binding=None) -> Result:
+                       tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
     """Lie-Backlund invariance of a single solved-form ODE: the classical
     check of the operator's evolutionary field U d/du, restricted to the
     ODE manifold including mixed-variable differential consequences."""
@@ -87,7 +81,7 @@ def check_lie_backlund(op: CanonicalOperator, ode: EquationSystem, seed: int = 0
     if len(lhs.index) != 1:
         raise ValueError("leading coordinate must be a pure derivative in one variable")
     return check_classical(op.field(), ode, seed=seed, tol_abs=tol_abs,
-                           tol_rel=tol_rel, binding=binding)
+                           tol_rel=tol_rel)
 
 
 @dataclass
@@ -122,7 +116,7 @@ def constraint_system(family, js: JetSpace, constraints=()) -> EquationSystem:
 
 
 def novelty_diagnostic(algebra, family, t: int, js: JetSpace, seed: int = 0,
-                       constraints=(), binding=None) -> NoveltyDiagnostic:
+                       constraints=()) -> NoveltyDiagnostic:
     """Run the classical invariance check of each algebra operator
     against the family's constraint system and report the dimension
     count conclusion."""
@@ -132,8 +126,7 @@ def novelty_diagnostic(algebra, family, t: int, js: JetSpace, seed: int = 0,
         return diag
     csys = constraint_system(family, js, constraints)
     for i, op in enumerate(algebra):
-        rep = check_classical(op, csys, seed=check_seed(seed, 100 + i),
-                              binding=binding)
+        rep = check_classical(op, csys, seed=check_seed(seed, 100 + i))
         diag.verdicts.append((op.name or f"operator {i}", rep))
     diag.conclusion = s >= t + 1 and all(rep.passed for _, rep in diag.verdicts)
     return diag

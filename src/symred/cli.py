@@ -2,9 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 any failure, 2 inconclusive,
 3 usage or parse errors, 4 a check stopped on a runtime error.  A
-runtime error (``ExprError`` or ``ValueError``) while checking one entry
-becomes that entry's row, with verdict ``error`` and the message in
-``detail``; the other entries still run.
+runtime error (``ExprError``, ``ValueError`` or ``OverflowError``) while
+checking one entry becomes that entry's row, with verdict ``error`` and
+the message in ``detail``; the other entries still run.
 
 Every verdict function returns one ``zerotest.Result`` record, and
 ``_row`` turns it into the entry's row: ``verdict``; ``residual_max``,
@@ -51,7 +51,7 @@ EXIT_USAGE = 3
 EXIT_ERROR = 4
 
 # runtime faults of one entry's check, reported as that entry's row
-ENTRY_FAULTS = (ExprError, ValueError)
+ENTRY_FAULTS = (ExprError, ValueError, OverflowError)
 
 # tolerance of every zero-test unless --tol overrides it
 DEFAULT_TOL = 1e-9
@@ -98,13 +98,24 @@ def _call(check, seed: int, tol: float | None, *args, **kw) -> Result:
         return _fault(exc, seed, t, t)
 
 
-def _target(bundle: ProblemBundle, entry) -> EquationSystem:
-    """The equation an operator is checked on; a UsageFault without one.
+def _operator_check(bundle: ProblemBundle, entry, mode: str = ""):
+    """The equation an operator is checked on, the row kind and the check
+    function under ``mode`` (the operator's own when empty).  A
+    UsageFault without an equation, or for mode lb on a point operator.
     The subcommands call it before they print anything."""
     if not entry.on:
         raise UsageFault(f"operator {entry.name!r} names no equation to check "
                          f"(an 'on' line)")
-    return bundle.equations[entry.on]
+    target = bundle.equations[entry.on]
+    mode = mode or entry.mode
+    if isinstance(entry.operator, CanonicalOperator):
+        return target, "lie-backlund", check_lie_backlund
+    if mode == "lb":
+        raise UsageFault(f"mode lb needs a canonical operator; {entry.name!r} "
+                         f"is a point operator")
+    if mode == "conditional":
+        return target, "conditional", check_conditional
+    return target, "classical", check_classical
 
 
 def _original(bundle: ProblemBundle, entry, candidate: str = ""):
@@ -120,14 +131,7 @@ def _original(bundle: ProblemBundle, entry, candidate: str = ""):
 
 def _run_operator(bundle: ProblemBundle, entry, seed: int,
                   tol: float | None, mode: str = "", expect: str = "") -> dict:
-    target = _target(bundle, entry)
-    mode = mode or entry.mode
-    if isinstance(entry.operator, CanonicalOperator) or mode == "lb":
-        kind, check = "lie-backlund", check_lie_backlund
-    elif mode == "conditional":
-        kind, check = "conditional", check_conditional
-    else:
-        kind, check = "classical", check_classical
+    target, kind, check = _operator_check(bundle, entry, mode)
     rec = _call(check, seed, tol, entry.operator, target)
     return _row(f"{bundle.name}:{entry.name}", kind, rec, expect)
 
@@ -312,22 +316,28 @@ def run_suite(bundle: ProblemBundle, seed: int, tol: float | None = None,
 
 # -- subcommands --------------------------------------------------------------
 
+def _drive(args, jobs, honor_expect: bool = False) -> int:
+    """Run every job at every seed of ``--seed`` and print the header and
+    the rows; ``job(seed)`` returns its rows at that seed.  Returns the
+    exit code."""
+    seeds = _parse_seeds(args.seed)
+    _header(seeds, args.tol, args.format, sys.stdout)
+    records = [row for seed in seeds for job in jobs for row in job(seed)]
+    _emit(records, args.format, sys.stdout)
+    return _exit_code(records, honor_expect)
+
+
 def cmd_check(args) -> int:
     bundle = _load(args.bundle)
     names = args.operator or list(bundle.operators)
     for n in names:
         if n not in bundle.operators:
             raise UsageFault(f"unknown operator {n!r}")
-        _target(bundle, bundle.operators[n])
-    seeds = _parse_seeds(args.seed)
-    _header(seeds, args.tol, args.format, sys.stdout)
-    records = []
-    for seed in seeds:
-        for n in names:
-            records.append(_run_operator(bundle, bundle.operators[n], seed,
-                                         args.tol, mode=args.mode))
-    _emit(records, args.format, sys.stdout)
-    return _exit_code(records)
+        _operator_check(bundle, bundle.operators[n], args.mode)
+    return _drive(args, [
+        lambda seed, e=bundle.operators[n]: [
+            _run_operator(bundle, e, seed, args.tol, mode=args.mode)]
+        for n in names])
 
 
 def cmd_reduce(args) -> int:
@@ -336,49 +346,37 @@ def cmd_reduce(args) -> int:
         raise UsageFault("reduce needs --ansatz")
     if args.ansatz not in bundle.ansatzes:
         raise UsageFault(f"unknown ansatz {args.ansatz!r}")
-    _original(bundle, bundle.ansatzes[args.ansatz], args.candidate)
-    seeds = _parse_seeds(args.seed)
-    _header(seeds, args.tol, args.format, sys.stdout)
-    records = []
-    for seed in seeds:
-        records.append(_run_reduce(bundle, bundle.ansatzes[args.ansatz],
-                                   args.candidate, seed, args.tol,
-                                   stream=sys.stdout))
-    _emit(records, args.format, sys.stdout)
-    return _exit_code(records)
+    entry = bundle.ansatzes[args.ansatz]
+    _original(bundle, entry, args.candidate)
+    return _drive(args, [lambda seed: [
+        _run_reduce(bundle, entry, args.candidate, seed, args.tol,
+                    stream=sys.stdout)]])
 
 
 def cmd_verify(args) -> int:
     bundle = _load(args.bundle)
-    seeds = _parse_seeds(args.seed)
     if args.solution and args.solution not in bundle.solutions:
         raise UsageFault(f"unknown solution {args.solution!r}")
     if args.backlund and args.backlund not in bundle.backlunds:
         raise UsageFault(f"unknown transformation {args.backlund!r}")
     if not (args.solution or args.backlund):
         raise UsageFault("verify needs --solution or --backlund")
-    _header(seeds, args.tol, args.format, sys.stdout)
-    records = []
-    for seed in seeds:
-        if args.solution:
-            records.append(_run_solution(bundle, bundle.solutions[args.solution],
-                                         seed, args.tol, fd=args.fd))
-        if args.backlund:
-            records.append(_run_backlund(bundle, bundle.backlunds[args.backlund],
-                                         seed, args.tol))
-    _emit(records, args.format, sys.stdout)
-    return _exit_code(records)
+    jobs = []
+    if args.solution:
+        spec = bundle.solutions[args.solution]
+        jobs.append(lambda seed: [_run_solution(bundle, spec, seed, args.tol,
+                                                fd=args.fd)])
+    if args.backlund:
+        entry = bundle.backlunds[args.backlund]
+        jobs.append(lambda seed: [_run_backlund(bundle, entry, seed,
+                                                args.tol)])
+    return _drive(args, jobs)
 
 
 def cmd_paper_suite(args) -> int:
-    seeds = _parse_seeds(args.seed)
-    _header(seeds, args.tol, args.format, sys.stdout)
-    records = []
-    for seed in seeds:
-        for bundle in bundled_problems():
-            records.extend(run_suite(bundle, seed, args.tol, fd=args.fd))
-    _emit(records, args.format, sys.stdout)
-    return _exit_code(records, honor_expect=True)
+    return _drive(args, [
+        lambda seed, b=b: run_suite(b, seed, args.tol, fd=args.fd)
+        for b in bundled_problems()], honor_expect=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -554,10 +554,11 @@ def expand(e: Expr) -> Expr:
     if isinstance(e, Pow) and isinstance(e.exp, Num) and \
             e.exp.value.denominator == 1 and e.exp.value > 1 and \
             isinstance(e.base, Add):
-        n = int(e.exp.value)
         out = ONE
-        for _ in range(n):
-            out = expand(mul(out, e.base))
+        for _ in range(int(e.exp.value)):
+            # term by term: mul(out, base) folds back into a power of base
+            terms = out.terms if isinstance(out, Add) else (out,)
+            out = add(*(expand(mul(t, b)) for t in terms for b in e.base.terms))
         return out
     if isinstance(e, Mul):
         sums = [f for f in e.factors if isinstance(f, Add)]

@@ -73,9 +73,15 @@ def _gk15(f, a: float, b: float):
     return kron, min(err, abs(kron - gauss) * 200.0 or err)
 
 
+# subintervals after which quadrature accepts every estimate it has
+MAX_INTERVALS = 2 ** 14
+# error bound of every integral behind a quadrature-defined function
+INSTANCE_TOL = 1e-12
+
+
 def quadrature(integrand, var=None, a: float = 0.0, b: float = 1.0,
                binding: ParameterBinding | None = None,
-               tol_abs: float = 1e-10, max_intervals: int = 2 ** 14):
+               tol_abs: float = 1e-10):
     """Adaptive Gauss-Kronrod integration of an Expr (in ``var``) or a
     plain callable over [a, b].  Returns (value, error estimate)."""
     if callable(integrand) and not isinstance(integrand, Expr):
@@ -98,7 +104,7 @@ def quadrature(integrand, var=None, a: float = 0.0, b: float = 1.0,
     while stack:
         lo, hi = stack.pop()
         val, err = _gk15(f, lo, hi)
-        if err <= tol_abs * (hi - lo) / (b - a) or used >= max_intervals:
+        if err <= tol_abs * (hi - lo) / (b - a) or used >= MAX_INTERVALS:
             total += val
             total_err += err
             used += 1
@@ -111,8 +117,7 @@ def quadrature(integrand, var=None, a: float = 0.0, b: float = 1.0,
     return sign * total, total_err
 
 
-def quadrature_instance(integrand_fn, lower: float = 0.0,
-                        tol_abs: float = 1e-12) -> OpaqueInstance:
+def quadrature_instance(integrand_fn, lower: float = 0.0) -> OpaqueInstance:
     """Opaque-function instance x -> integral of ``integrand_fn`` from
     ``lower`` to x, with the integrand as its exact derivative.  Values
     are cached per upper limit (stencil evaluation re-queries nearby
@@ -121,7 +126,8 @@ def quadrature_instance(integrand_fn, lower: float = 0.0,
 
     def value(x: float) -> float:
         if x not in cache:
-            cache[x], _ = quadrature(integrand_fn, a=lower, b=x, tol_abs=tol_abs)
+            cache[x], _ = quadrature(integrand_fn, a=lower, b=x,
+                                     tol_abs=INSTANCE_TOL)
         return cache[x]
 
     return OpaqueInstance(value, integrand_fn)

@@ -99,14 +99,14 @@ class SolutionSpec:
                             dep=self.dep, constraints=tuple(self.constraints),
                             name=self.name)
 
-    def make_plan(self, seed=None, h=None) -> SamplePlan:
+    def make_plan(self, seed=None) -> SamplePlan:
         """Sampling plan.  The bundle's ``seed`` key, when set, pins the
         seed; otherwise ``seed`` applies, and 0 when that is None too."""
         if self.seed is not None:
             seed = self.seed
         return SamplePlan(box=dict(self.box), n=self.n,
                           seed=0 if seed is None else seed,
-                          h=self.h if h is None else h, grid=self.grid)
+                          h=self.h, grid=self.grid)
 
 
 def _cos_instance() -> OpaqueInstance:
@@ -501,6 +501,9 @@ class _Loader:
         expect = sec.expect()
         otype = sec.last("type", default=None)
         if otype == "point":
+            if mode == "lb":
+                raise MalformedSection("mode lb needs type canonical",
+                                       sec.get("mode")[-1][0])
             op = VectorField(parts["xi"], parts["eta"], name=name)
         elif otype == "canonical":
             op = CanonicalOperator(parts["char"], name=name)

@@ -16,20 +16,19 @@ import random
 from dataclasses import dataclass, field
 
 from .expr import (
-    Add, DomainFault, Expr, Jet, Mul, Num, ONE, Param,
-    ParameterBinding, Var,
-    ZERO, add, atoms, diff_partial, eval_with_scale, expand, mul, pow_,
-    substitute,
+    Add, DomainFault, Expr, Jet, Mul, Num, ONE, Param, ParameterBinding, Var,
+    ZERO, add, atoms, eval_with_scale, expand, mul, substitute,
 )
 from .jets import JetSpace, total_derivative
 from .linalg import SingularImplicitSystem, gaussian_eliminate
 from .numeric import NoConvergence, newton_system
+from .parser import print_expression
 from .rewrites import (
-    _touches, assume_positive, expand_trig, reduce_even_cosines, sqrt_pythagoras,
+    assume_positive, expand_trig, reduce_even_cosines, sqrt_pythagoras, touches,
 )
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
-    FAIL, INCONCLUSIVE, NONZERO, ZERO_VERDICT, Constraint, Result, _sym_name,
+    FAIL, INCONCLUSIVE, NONZERO, ZERO_VERDICT, Constraint, Result, check_parts,
     check_seed, combine, free_numeric_symbols, is_zero, sample_point,
     within_tol,
 )
@@ -77,7 +76,6 @@ class AnsatzFrame:
     js: JetSpace
     system: EquationSystem
     constraints: tuple
-    chains: dict
 
 
 def ansatz_derivatives(a: Ansatz) -> AnsatzFrame:
@@ -110,7 +108,7 @@ def ansatz_derivatives(a: Ansatz) -> AnsatzFrame:
                     constraints.append(Constraint(p, "!="))
         full_js = full_js.with_chains(chains)
     system = EquationSystem(full_js, a.targets, name=a.name or "ansatz")
-    return AnsatzFrame(full_js, system, tuple(constraints), chains)
+    return AnsatzFrame(full_js, system, tuple(constraints))
 
 
 def _compat_residuals(rules, js: JetSpace):
@@ -130,8 +128,7 @@ def _compat_residuals(rules, js: JetSpace):
 
 def verify_reduction(a: Ansatz, original: EquationSystem,
                      candidate: EquationSystem, seed: int = 0,
-                     tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                     binding: ParameterBinding | None = None) -> Result:
+                     tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
     """Check that the ansatz maps solutions of the candidate reduced
     system to solutions of the original: substitute the ansatz into each
     original equation (and into the targets' own cross-derivative
@@ -144,14 +141,10 @@ def verify_reduction(a: Ansatz, original: EquationSystem,
     labelled = [(f"equation {i}", lhs - rhs)
                 for i, (lhs, rhs) in enumerate(original.equations)]
     labelled += _compat_residuals(a.targets, frame.js)
-    results = []
-    for i, (label, r) in enumerate(labelled):
-        r = restrict_to_manifold(r, frame.system)
-        r = restrict_to_manifold(r, cand)
-        zr = is_zero(r, constraints, seed=check_seed(seed, i),
-                     tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
-        results.append((label, zr))
-    return combine(results, seed, tol_abs, tol_rel)
+    parts = ((label, restrict_to_manifold(restrict_to_manifold(r, frame.system),
+                                          cand))
+             for label, r in labelled)
+    return check_parts(parts, constraints, seed, tol_abs, tol_rel)
 
 
 def _coefficient_split(r: Expr, elim):
@@ -162,26 +155,14 @@ def _coefficient_split(r: Expr, elim):
     terms = r.terms if isinstance(r, Add) else (r,)
     for t in terms:
         factors = t.factors if isinstance(t, Mul) else (t,)
-        hot = [f for f in factors if _touches(f, elim)]
-        cold = [f for f in factors if not _touches(f, elim)]
+        hot = [f for f in factors if touches(f, elim)]
+        cold = [f for f in factors if not touches(f, elim)]
         key = mul(*hot) if hot else ONE
         groups.setdefault(key, []).append(mul(*cold) if cold else ONE)
     return {k: add(*v) for k, v in groups.items()}
 
 
-def _solve_linear(c: Expr, lead: Jet):
-    """Solve a linear equation ``c == 0`` for ``lead``; returns
-    (rhs, pivot) or None if c is not linear in lead."""
-    d = diff_partial(c, lead)
-    if d == ZERO or substitute(d, {lead: ZERO}) != d:
-        return None
-    rem = substitute(c, {lead: ZERO})
-    rhs = mul(Num(-1), rem, pow_(d, Num(-1)))
-    return rhs, d
-
-
 def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
-                     binding: ParameterBinding | None = None,
                      tol_abs: float = 1e-9, tol_rel: float = 1e-9):
     """Derive the reduced system the ansatz imposes on its unknown
     functions, or explain why none exists.
@@ -249,12 +230,13 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
                     "a separated term has no unknown-function derivative to match "
                     "(degenerate ansatz)")
             lead = max(deriv_jets, key=lambda j: (j.order, j.dep, j.index))
-            solution = _solve_linear(coeff, lead)
-            if solution is None:
+            try:
+                solution, _, (pivot,) = gaussian_eliminate([coeff], [lead])
+            except (ValueError, SingularImplicitSystem):
                 return failure(
                     "cannot solve a separated equation linearly for its "
                     "highest unknown-function derivative")
-            solved.append((lead, solution[0], solution[1]))
+            solved.append((lead, solution[lead], pivot))
 
     # dedupe repeated equations (the same relation often arrives from
     # several coefficients); conflicting right sides are a failure
@@ -266,7 +248,7 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
                 continue
             zr = is_zero(kept_eqs[lead] - rhs, frame.constraints,
                          seed=check_seed(seed, 500 + i), tol_abs=tol_abs,
-                         tol_rel=tol_rel, binding=binding)
+                         tol_rel=tol_rel)
             if zr.is_zero:
                 continue
             return failure(
@@ -291,24 +273,21 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
 
 
 def systems_equivalent(s1: EquationSystem, s2: EquationSystem, seed: int = 0,
-                       constraints=(), binding: ParameterBinding | None = None,
-                       tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
+                       constraints=(), tol_abs: float = 1e-9,
+                       tol_rel: float = 1e-9) -> Result:
     """Same leading coordinates and identical right sides on the shared
     constraint domain."""
     e1, e2 = dict(s1.equations), dict(s2.equations)
-    cs = tuple(constraints) + tuple(s1.constraints) + tuple(s2.constraints)
-    results = []
     if set(e1) != set(e2):
         missing = set(e1) ^ set(e2)
-        zr = Result(NONZERO,
-                    witness={"leads": sorted(_sym_name(j) for j in missing)})
-        results.append(("leading coordinates differ", zr))
-    else:
-        for i, lead in enumerate(sorted(e1, key=lambda j: (j.dep, j.index))):
-            zr = is_zero(e1[lead] - e2[lead], cs, seed=check_seed(seed, i),
-                         tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
-            results.append((_sym_name(lead), zr))
-    return combine(results, seed, tol_abs, tol_rel)
+        zr = Result(NONZERO, witness={
+            "leads": sorted(print_expression(j) for j in missing)})
+        return combine([("leading coordinates differ", zr)], seed, tol_abs,
+                       tol_rel)
+    cs = tuple(constraints) + tuple(s1.constraints) + tuple(s2.constraints)
+    parts = ((print_expression(lead), e1[lead] - e2[lead])
+             for lead in sorted(e1, key=lambda j: (j.dep, j.index)))
+    return check_parts(parts, cs, seed, tol_abs, tol_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +308,7 @@ class BacklundRelation:
 
 
 def verify_backlund(bt: BacklundRelation, seed: int = 0,
-                    tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                    binding: ParameterBinding | None = None) -> Result:
+                    tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
     """Pass iff, modulo the source equation and the relations themselves,
     (a) the relations are cross-derivative compatible and (b) the target
     equation's residual vanishes."""
@@ -341,19 +319,19 @@ def verify_backlund(bt: BacklundRelation, seed: int = 0,
     labelled = _compat_residuals(bt.relations, bt.js)
     for i, (lhs, rhs) in enumerate(bt.target.equations):
         labelled.append((f"target equation {i}", lhs - rhs))
-    results = []
-    for i, (label, r) in enumerate(labelled):
-        r = restrict_to_manifold(r, source, extra=bt.relations)
-        zr = is_zero(r, constraints, seed=check_seed(seed, i),
-                     tol_abs=tol_abs, tol_rel=tol_rel, binding=binding)
-        results.append((label, zr))
-    return combine(results, seed, tol_abs, tol_rel)
+    parts = ((label, restrict_to_manifold(r, source, extra=bt.relations))
+             for label, r in labelled)
+    return check_parts(parts, constraints, seed, tol_abs, tol_rel)
 
 
 # ---------------------------------------------------------------------------
 # overdetermined first-order pairs
 
-def _solve_first_derivatives(assignments, point, binding, rng, tries: int = 8):
+# parameters of a pair's relations are sampled like its base variables
+_NO_BINDING = ParameterBinding()
+
+
+def _solve_first_derivatives(assignments, point, rng, tries: int = 8):
     """Numeric values of the assigned first-derivative jets at a base
     point.  The assignments may be implicit (right sides containing the
     jets themselves), so this is a small Newton solve with random
@@ -363,7 +341,7 @@ def _solve_first_derivatives(assignments, point, binding, rng, tries: int = 8):
     for _ in range(tries):
         guesses = [rng.uniform(-2.0, 2.0) for _ in unknowns]
         try:
-            vals = newton_system(residuals, unknowns, point, binding,
+            vals = newton_system(residuals, unknowns, point, _NO_BINDING,
                                  guesses=guesses)
             return dict(zip(unknowns, vals))
         except (NoConvergence, DomainFault):
@@ -372,9 +350,8 @@ def _solve_first_derivatives(assignments, point, binding, rng, tries: int = 8):
 
 
 def check_overdetermined(assignments, js: JetSpace, seed: int = 0,
-                         constraints=(), binding: ParameterBinding | None = None,
-                         box=None, n: int = 32, tol_abs: float = 1e-9,
-                         tol_rel: float = 1e-9) -> Result:
+                         constraints=(), box=None, n: int = 32,
+                         tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
     """Compatibility of an overdetermined pair of first-order relations
     for one dependent variable.
 
@@ -402,14 +379,14 @@ def check_overdetermined(assignments, js: JetSpace, seed: int = 0,
         return combine([("compatibility", Result(ZERO_VERDICT))], seed,
                        tol_abs, tol_rel)
 
-    binding = binding or ParameterBinding()
     first_jets = set(j for j, _ in assignments)
     results = []
     for i, lo in enumerate(leftovers):
         rng = random.Random(check_seed(seed, i))
-        free = [s for s in free_numeric_symbols(lo, binding) if s not in first_jets]
+        free = [s for s in free_numeric_symbols(lo, _NO_BINDING)
+                if s not in first_jets]
         for _, rhs in assignments:
-            for s in free_numeric_symbols(rhs, binding):
+            for s in free_numeric_symbols(rhs, _NO_BINDING):
                 if s not in first_jets and s not in free:
                     free.append(s)
         tested = 0
@@ -418,23 +395,23 @@ def check_overdetermined(assignments, js: JetSpace, seed: int = 0,
         witness = None
         witness_value = 0.0
         while tested < n:
-            point, used = sample_point(free, constraints, rng, binding, box, budget,
-                                       default_box=(0.2, 2.0))
+            point, used = sample_point(free, constraints, rng, _NO_BINDING, box,
+                                       budget, default_box=(0.2, 2.0))
             budget -= used
             if point is None:
                 break
-            derivs = _solve_first_derivatives(assignments, point, binding, rng)
+            derivs = _solve_first_derivatives(assignments, point, rng)
             if derivs is None:
                 continue
             point.update(derivs)
             try:
-                val, scale = eval_with_scale(lo, point, binding)
+                val, scale = eval_with_scale(lo, point, _NO_BINDING)
             except DomainFault:
                 continue
             tested += 1
             if not within_tol(val, tol_abs, tol_rel, scale):
                 verdict = NONZERO
-                witness = {_sym_name(k): v for k, v in point.items()}
+                witness = {print_expression(k): v for k, v in point.items()}
                 witness_value = val
                 break
         if verdict is None:

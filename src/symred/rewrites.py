@@ -63,15 +63,16 @@ def sqrt_pythagoras(e: Expr, nonneg=()) -> Expr:
     return e
 
 
-def _touches(e: Expr, symbols) -> bool:
+def touches(e: Expr, symbols) -> bool:
+    """Whether ``e`` contains any of the given symbols."""
     return bool(atoms(e) & symbols)
 
 
 def _split_sum(arg: Expr, symbols):
     if not isinstance(arg, Add):
-        return (arg, ZERO) if _touches(arg, symbols) else (ZERO, arg)
-    hot = [t for t in arg.terms if _touches(t, symbols)]
-    cold = [t for t in arg.terms if not _touches(t, symbols)]
+        return (arg, ZERO) if touches(arg, symbols) else (ZERO, arg)
+    hot = [t for t in arg.terms if touches(t, symbols)]
+    cold = [t for t in arg.terms if not touches(t, symbols)]
     return add(*hot) if hot else ZERO, add(*cold) if cold else ZERO
 
 
@@ -108,7 +109,7 @@ def reduce_even_cosines(e: Expr, symbols) -> Expr:
         if isinstance(x, Pow) and isinstance(x.exp, Num) and \
                 x.exp.value.denominator == 1 and x.exp.value >= 2 and \
                 isinstance(x.base, Func) and x.base.name == "cos" and \
-                _touches(x.base.arg, symbols):
+                touches(x.base.arg, symbols):
             n = int(x.exp.value)
             rest = pow_(x.base, Num(n % 2))
             squares = pow_(add(ONE, mul(Num(-1), pow_(func("sin", x.base.arg), 2))),

@@ -60,8 +60,13 @@ def _quotient(lead: Jet, jet: Jet):
     return tuple((v, c) for v, c in have.items() if c)
 
 
-def restrict_to_manifold(e: Expr, sys: EquationSystem, extra=(),
-                         cap: int = 64, order_cap: int = 8) -> Expr:
+# bounds of manifold rewriting: substitution rounds, and the jet order a
+# rewritten coordinate may reach
+REWRITE_ROUNDS = 64
+ORDER_CAP = 8
+
+
+def restrict_to_manifold(e: Expr, sys: EquationSystem, extra=()) -> Expr:
     """Exhaustively rewrite leading coordinates and all their
     total-derivative consequences until nothing rewritable remains.
 
@@ -76,7 +81,7 @@ def restrict_to_manifold(e: Expr, sys: EquationSystem, extra=(),
         rules[lhs] = rhs
 
     js = sys.js
-    for _ in range(cap):
+    for _ in range(REWRITE_ROUNDS):
         batch = {}
         for a in atoms(e, Jet):
             best = None
@@ -88,9 +93,9 @@ def restrict_to_manifold(e: Expr, sys: EquationSystem, extra=(),
                         best = lead
             if best is None:
                 continue
-            if a.order > order_cap:
+            if a.order > ORDER_CAP:
                 raise IterationCapExceeded(
-                    f"manifold rewriting exceeded order cap {order_cap} at {a!r}")
+                    f"manifold rewriting exceeded order cap {ORDER_CAP} at {a!r}")
             batch[a] = total_derivative_multi(rules[best], _quotient(best, a), js)
         if not batch:
             return e

@@ -15,9 +15,10 @@ import random
 from dataclasses import dataclass, replace
 
 from .expr import (
-    DomainFault, Expr, Jet, Num, Param, ParameterBinding, OpaqueInstance,
+    DomainFault, Expr, Num, Param, ParameterBinding, OpaqueInstance,
     atoms, eval_with_scale, opaque_names,
 )
+from .parser import print_expression
 
 ZERO_VERDICT = "zero"
 NONZERO = "nonzero"
@@ -135,12 +136,12 @@ def sample_point(symbols, constraints, rng: random.Random,
     """One in-domain random point, or None when the budget runs out.
 
     Each draw takes one ``rng.uniform`` per symbol, in order, from the
-    symbol's ``box`` entry (keyed by name, looked up once per call) or
-    ``default_box``.  A draw is rejected when a constraint fails or
-    raises DomainFault; an UnboundSymbol propagates.  Returns (point,
+    symbol's ``box`` entry (keyed by its printed name, looked up once per
+    call) or ``default_box``.  A draw is rejected when a constraint fails
+    or raises DomainFault; an UnboundSymbol propagates.  Returns (point,
     draws_used)."""
     if box:
-        ranges = [(s, *box.get(_sym_name(s), default_box)) for s in symbols]
+        ranges = [(s, *box.get(print_expression(s), default_box)) for s in symbols]
     else:
         ranges = [(s, *default_box) for s in symbols]
     uniform = rng.uniform
@@ -154,18 +155,10 @@ def sample_point(symbols, constraints, rng: random.Random,
     return None, retry_budget
 
 
-def _sym_name(s) -> str:
-    if isinstance(s, Jet):
-        if not s.index:
-            return s.dep
-        return s.dep + "[" + ",".join(v for v, c in s.index for _ in range(c)) + "]"
-    return s.name
-
-
 def free_numeric_symbols(e: Expr, binding: ParameterBinding):
     """Atoms that still need a sampled value under the given binding."""
     out = []
-    for a in sorted(atoms(e), key=_sym_name):
+    for a in sorted(atoms(e), key=print_expression):
         if isinstance(a, Param) and a.name in binding.params:
             continue
         out.append(a)
@@ -203,7 +196,7 @@ def is_zero(e: Expr, constraints=(), seed: int = 0, n: int = 64,
         for a in free_numeric_symbols(c.expr, binding):
             if a not in symbols:
                 symbols.append(a)
-    symbols.sort(key=_sym_name)
+    symbols.sort(key=print_expression)
 
     draws_left = retry_budget
     while tested < n:
@@ -224,6 +217,18 @@ def is_zero(e: Expr, constraints=(), seed: int = 0, n: int = 64,
         tested += 1
         if not within_tol(val, tol_abs, tol_rel, scale):
             return result(NONZERO,
-                          witness={_sym_name(k): v for k, v in point.items()},
+                          witness={print_expression(k): v for k, v in point.items()},
                           witness_value=val)
     return result(ZERO_VERDICT)
+
+
+def check_parts(labelled, constraints, seed: int, tol_abs: float,
+                tol_rel: float) -> Result:
+    """One check's result from its (label, residual) parts: part i is
+    zero-tested on its own stream ``check_seed(seed, i)`` and the results
+    are combined.  ``labelled`` may be a generator; part i+1 is then
+    built only after part i has been tested."""
+    return combine(((label, is_zero(r, constraints, seed=check_seed(seed, i),
+                                    tol_abs=tol_abs, tol_rel=tol_rel))
+                    for i, (label, r) in enumerate(labelled)),
+                   seed, tol_abs, tol_rel)

@@ -307,3 +307,30 @@ def test_entry_usage_fault_leaves_stdout_empty(capsys, tmp_path, section,
     assert code == 3
     assert out == ""
     assert "names no" in err and "Traceback" not in err
+
+
+def test_mode_lb_on_a_point_operator_is_a_usage_fault(capsys):
+    code, out, err = run(capsys, "check", path("eq3"), "--operator",
+                         "halfQminusD", "--mode", "lb")
+    assert code == 3
+    assert out == ""
+    assert "'halfQminusD'" in err and "canonical" in err
+    assert "Traceback" not in err
+
+
+def test_float_overflow_is_an_error_row_and_the_rest_runs(capsys, tmp_path):
+    bundle = tmp_path / "b.prob"
+    bundle.write_text("[space]\nindependent x t\ndependent u(x,t)\n\n"
+                      "[equation heat]\nu[t] = u[x,x]\n\n"
+                      "[operator shift]\ntype point\non heat\nxi x = 1\n\n"
+                      "[operator huge]\ntype point\non heat\n"
+                      "eta u = 10^400*u + sin(u)\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(bundle), "--format",
+                         "json-lines")
+    assert code == 4
+    rows = {row["case"]: row for row in map(json.loads, out.splitlines())}
+    assert rows["b:shift"]["verdict"] == "pass"
+    assert rows["b:huge"]["verdict"] == "error"
+    assert rows["b:huge"]["detail"] == \
+        "OverflowError: integer division result too large for a float"
+    assert "Traceback" not in err

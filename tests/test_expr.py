@@ -159,6 +159,15 @@ def test_expand_distributes():
     assert simplify(expand(e - (pow_(x, Num(2)) - pow_(y, Num(2))))) == ZERO
 
 
+def test_expand_multiplies_out_integer_powers_of_sums():
+    # x*x folds back to x^2, so a power is multiplied out term by term
+    assert expand(pow_(x + y, Num(2))) == \
+        add(pow_(x, Num(2)), mul(Num(2), x, y), pow_(y, Num(2)))
+    assert expand(pow_(x - Num(1), Num(3))) == \
+        add(pow_(x, Num(3)), mul(Num(-3), pow_(x, Num(2))), mul(Num(3), x),
+            Num(-1))
+
+
 def test_substitute_jet():
     u1 = Jet("u", (("x1", 1),))
     e = pow_(u1, Num(2)) + u1

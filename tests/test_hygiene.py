@@ -1,5 +1,6 @@
-"""Repository hygiene: no unused imports and no unread module-level
-definitions in the library, and the library runs without numpy."""
+"""Repository hygiene: no unused imports, no imports of another module's
+private names and no unread module-level definitions in the library, and
+the library runs without numpy."""
 
 import ast
 import os
@@ -41,6 +42,31 @@ def test_unused_import_scan_sees_an_unused_name(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("import os\nfrom math import pi, tau\nprint(tau)\n")
     assert _unused_imports(mod) == ["mod.py:1 os", "mod.py:2 pi"]
+
+
+def _private_imports(path: Path) -> list:
+    """``_``-prefixed names a module imports from another module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(f"{path.name}:{node.lineno} {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        private += _private_imports(path)
+    assert private == []
+
+
+def test_private_import_scan_sees_a_private_name(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "from .a import b, _c\nimport _d\n"
+                   "from .e import (\n    f, _g,\n)\n")
+    assert _private_imports(mod) == ["mod.py:2 _c", "mod.py:4 _g"]
 
 
 def _definitions(path: Path) -> dict:

@@ -244,6 +244,14 @@ def test_golden_bundle_shapes(bundles):
     assert bundles["eq3"].ansatzes["ansatz4"].derive is False
 
 
+def test_mode_lb_on_a_point_operator_is_rejected_at_its_mode_line():
+    text = MINI + "\n[operator shift]\ntype point\nmode lb\nxi x1 = 1\n"
+    mode_line = text.split("\n").index("mode lb") + 1
+    with pytest.raises(MalformedSection, match="type canonical") as exc:
+        parse_problem(text)
+    assert exc.value.line == mode_line
+
+
 def test_second_space_section_rejected():
     text = MINI + "\n[space]\nindependent x3\n"
     headers = [i for i, line in enumerate(text.split("\n"), 1)

@@ -6,7 +6,8 @@ from symred.expr import (
     Jet, Num, Param, ParameterBinding, UnboundSymbol, Var, func, opaque, pow_,
 )
 from symred.zerotest import (
-    Constraint, Result, combine, is_zero, sample_point,
+    Constraint, Result, check_parts, check_seed, combine, is_zero,
+    sample_point,
 )
 
 x = Var("x")
@@ -153,3 +154,21 @@ def test_combine_labels_parts_and_takes_the_first_failing_witness():
     assert combine(parts[3:], 0, 1e-9, 1e-9).verdict == "inconclusive"
     only_zero = combine(parts[:1], 0, 1e-9, 1e-9)
     assert only_zero.passed and only_zero.provenance == "symbolic"
+
+
+def test_check_parts_is_combine_over_seeded_zero_tests():
+    # every check zero-tests part i on stream check_seed(seed, i)
+    cs = (Constraint(x - Num(1), "!="),)
+    residuals = [("zero", x - x),
+                 ("identity", func("sin", x) ** 2 + func("cos", x) ** 2 - Num(1)),
+                 ("nonzero", func("sin", x) - x),
+                 ("undefined everywhere", func("ln", -x * x - Num(1)))]
+    for seed in (0, 3):
+        got = check_parts(iter(residuals), cs, seed, 1e-9, 1e-6)
+        want = combine([(label, is_zero(r, cs, seed=check_seed(seed, i),
+                                        tol_abs=1e-9, tol_rel=1e-6))
+                        for i, (label, r) in enumerate(residuals)],
+                       seed, 1e-9, 1e-6)
+        assert got == want
+        assert [p.verdict for p in got.parts] == \
+            ["zero", "zero", "nonzero", "inconclusive"]
