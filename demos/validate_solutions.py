@@ -21,12 +21,10 @@ def load(name):
 def run(bundle, sname):
     spec = bundle.solutions[sname]
     sys_ = bundle.system(spec.of)
-    form = spec.make_form(sys_.js.dependents)
-    plan = spec.make_plan()
-    binding = spec.make_binding()
     residual = residual_implicit if spec.kind == "implicit" else residual_explicit
-    # tol=None takes the path's default tolerance
-    rep = residual(form, sys_, plan, binding, tol=spec.tol)
+    # seed 0, as none of these solutions pins one; tol=None takes the
+    # path's default tolerance
+    rep = residual(spec, sys_, 0, tol=spec.tol)
     total = rep.points_tested + rep.points_skipped
     print(f"  {bundle.name}:{sname:15s} max residual {rep.witness_value:.3g} "
           f"(tol {rep.tol_abs:g}, {rep.points_tested}/{total} points) "

@@ -29,17 +29,17 @@ from .reduce import (
     verify_backlund, verify_reduction,
 )
 from .numeric import (
-    NoConvergence, SamplePlan, SolutionForm, ToleranceNotMet,
-    newton_system, quadrature, quadrature_instance, residual_explicit,
-    residual_fd, residual_implicit, solve_implicit,
+    NoConvergence, SolutionSpec, ToleranceNotMet, newton_system, quadrature,
+    quadrature_instance, residual_explicit, residual_fd, residual_implicit,
+    solve_implicit,
 )
 from .parser import (
     ParseError, SymbolContext, UndeclaredSymbol, parse_equation,
     parse_expression, print_equation, print_expression,
 )
 from .problems import (
-    DuplicateName, MalformedSection, ProblemBundle, SolutionSpec,
-    load_problem, parse_problem,
+    DuplicateName, MalformedSection, ProblemBundle, load_problem,
+    parse_problem,
 )
 
 __version__ = "0.1.0"

@@ -2,9 +2,10 @@
 
 Exit codes: 0 all checks pass, 1 any failure, 2 inconclusive,
 3 usage or parse errors, 4 a check stopped on a runtime error.  A
-runtime error (``ExprError``, ``ValueError`` or ``OverflowError``) while
-checking one entry becomes that entry's row, with verdict ``error`` and
-the message in ``detail``; the other entries still run.
+runtime error (``ExprError``, ``ValueError``, ``OverflowError`` or
+``RecursionError``) while checking one entry becomes that entry's row,
+with verdict ``error`` and the message in ``detail``; the other entries
+still run.
 
 Every verdict function returns one ``zerotest.Result`` record, and
 ``_row`` turns it into the entry's row: ``verdict``; ``residual_max``,
@@ -32,7 +33,7 @@ from .checks import check_classical, check_conditional, check_lie_backlund
 from .expr import ExprError
 from .jets import CanonicalOperator
 from .parser import ParseError, print_equation
-from .problems import MODES, ProblemBundle, load_problem
+from .problems import MODES, ProblemBundle, load_problem, parse_problem
 from .reduce import (
     check_overdetermined, derive_reduction, systems_equivalent,
     verify_backlund, verify_reduction,
@@ -51,7 +52,7 @@ EXIT_USAGE = 3
 EXIT_ERROR = 4
 
 # runtime faults of one entry's check, reported as that entry's row
-ENTRY_FAULTS = (ExprError, ValueError, OverflowError)
+ENTRY_FAULTS = (ExprError, ValueError, OverflowError, RecursionError)
 
 # tolerance of every zero-test unless --tol overrides it
 DEFAULT_TOL = 1e-9
@@ -172,12 +173,13 @@ def _run_derive_cross(bundle: ProblemBundle, entry, seed: int,
 
 def _run_solution(bundle: ProblemBundle, spec, seed: int, tol: float | None,
                   fd: bool = False, expect: str = "") -> dict:
+    """The solution's row: the spec's ``seed`` key, when set, pins the
+    seed in place of ``seed``."""
     sys_ = bundle.system(spec.of)
-    binding = spec.make_binding()
-    form = spec.make_form(sys_.js.dependents)
-    plan = spec.make_plan(seed=seed)
+    if spec.seed is not None:
+        seed = spec.seed
     implicit = fd or spec.kind == "implicit"
-    # an explicit form forced onto finite differences gets that path's
+    # an explicit solution forced onto finite differences gets that path's
     # default tolerance, not its own
     use_tol = tol
     if tol is None and not (fd and spec.kind != "implicit"):
@@ -191,9 +193,9 @@ def _run_solution(bundle: ProblemBundle, spec, seed: int, tol: float | None,
     else:
         residual = residual_explicit
     try:
-        rec = residual(form, sys_, plan, binding, tol=use_tol)
+        rec = residual(spec, sys_, seed, tol=use_tol)
     except ENTRY_FAULTS as exc:
-        rec = _fault(exc, plan.seed, use_tol, 0.0)
+        rec = _fault(exc, seed, use_tol, 0.0)
     return _row(f"{bundle.name}:{spec.name}", "solution", rec, expect)
 
 
@@ -281,7 +283,6 @@ def bundled_problems() -> list[ProblemBundle]:
     out = []
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".prob"):
-            from .problems import parse_problem
             out.append(parse_problem(entry.read_text(encoding="utf-8"),
                                      name=entry.name[:-5]))
     return out

@@ -1,8 +1,10 @@
-"""Floating-point validation of exact solutions: adaptive quadrature,
-one damped Newton solver (with a bisection safeguard for one unknown)
-for implicit relations and small systems, and PDE residuals via exact
-symbolic derivatives (of an implicit chain, by the implicit function
-theorem) or finite differences."""
+"""Floating-point validation of exact solutions: the solution record
+``SolutionSpec`` and its residual checks ``residual_*(spec, eq, seed=0,
+tol=None)``, adaptive quadrature, one damped Newton solver (with a
+bisection safeguard for one unknown) for implicit relations and small
+systems, and PDE residuals via exact symbolic derivatives (of an
+implicit chain, by the implicit function theorem) or finite
+differences."""
 
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .expr import (
-    DomainFault, Expr, ExprError, Jet, OpaqueInstance, ParameterBinding,
-    Var, add, atoms, diff_partial, eval_numeric, mul,
+    DomainFault, Expr, ExprError, Jet, OpaqueInstance, Param,
+    ParameterBinding, Var, add, atoms, diff_partial, eval_numeric, mul,
 )
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
@@ -265,36 +267,87 @@ def solve_implicit(res: Expr, unknown, point, binding: ParameterBinding | None =
 
 
 # ---------------------------------------------------------------------------
-# solution forms and their residuals
+# solutions and their residuals
 
-@dataclass(frozen=True)
-class SolutionForm:
-    """Closed-form solution to be validated numerically.
-
-    kind "explicit": ``explicit`` maps dependent-variable name to an
-    expression in the base variables (possibly through quadrature-backed
-    opaque symbols supplied by the binding).
-    kind "implicit": ``relations`` is an ordered list of
-    (unknown symbol, residual Expr) solved sequentially at each point;
-    the last unknown is the dependent value itself.
-    """
-
-    kind: str  # "explicit" | "implicit"
-    explicit: tuple = ()  # ((dep name, Expr), ...)
-    relations: tuple = ()  # ((symbol Expr, residual Expr, guess, bracket), ...)
-    dep: str = ""
-    constraints: tuple = ()
-    name: str = ""
+# seeded draws a random sample plan may spend, rejected draws included
+RETRY_BUDGET = 1024
 
 
 @dataclass
-class SamplePlan:
-    box: dict = field(default_factory=dict)  # var name -> (lo, hi)
-    n: int = 64
-    seed: int = 0
-    retry_budget: int = 1024
+class SolutionSpec:
+    """A closed-form solution and how to validate it numerically: the
+    one record the loader fills and every residual check reads.
+
+    kind "explicit": ``explicit`` maps a dependent's name to an
+    expression in the base variables (possibly through quadrature-backed
+    opaque functions).  kind "implicit": ``relations`` is an ordered list
+    of (unknown name, residual Expr) solved in turn at each point; the
+    last unknown is the dependent itself.  Sample points are a regular
+    ``grid`` over ``box`` when one is given, else ``n`` seeded draws."""
+
+    name: str
+    kind: str = "explicit"
+    of: str = ""
+    explicit: list = field(default_factory=list)  # (dep name, Expr)
+    relations: list = field(default_factory=list)  # (unknown name, residual Expr)
+    guesses: dict = field(default_factory=dict)
+    brackets: dict = field(default_factory=dict)
+    dep: str = ""
+    constraints: list = field(default_factory=list)
+    binds: dict = field(default_factory=dict)       # param -> float
+    fn_binds: dict = field(default_factory=dict)    # function -> ("sin"|"cos"|"exp",) | ("const", c)
+    quadratures: dict = field(default_factory=dict)  # name -> (var, integrand Expr, lower)
+    box: dict = field(default_factory=dict)
+    grid: tuple = ()
     h: float = 1e-4
-    grid: tuple = ()  # optional (nx, ny, ...) regular grid instead of random
+    n: int = 64
+    seed: int | None = None   # the bundle's seed key; None when unset
+    tol: float | None = None
+    expect: str = "pass"
+    aux: list = field(default_factory=list)  # auxiliary scalar unknowns
+
+    def make_binding(self) -> ParameterBinding:
+        """The bound parameters and functions, and each quadrature as a
+        function.  An integrand sees the bound functions and no
+        quadrature: one named like a bound function reads that function
+        in its integrand, not itself."""
+        functions = {}
+        for fname, spec in self.fn_binds.items():
+            if spec[0] == "sin":
+                functions[fname] = OpaqueInstance.sin()
+            elif spec[0] == "cos":
+                functions[fname] = _cos_instance()
+            elif spec[0] == "exp":
+                functions[fname] = OpaqueInstance(*([math.exp] * 8))
+            elif spec[0] == "const":
+                functions[fname] = OpaqueInstance.constant(spec[1])
+            else:
+                raise ValueError(f"unknown function binding {spec!r}")
+        bound = ParameterBinding(self.binds, functions)
+        quadratures = {}
+        for qname, (var, integrand, lower) in self.quadratures.items():
+
+            def integrand_fn(t, _e=integrand, _v=Var(var)):
+                return eval_numeric(_e, {_v: t}, bound)
+
+            quadratures[qname] = quadrature_instance(integrand_fn, lower)
+        return bound.extended(functions=quadratures)
+
+
+def _cos_instance() -> OpaqueInstance:
+    return OpaqueInstance(math.cos, lambda x: -math.sin(x),
+                          lambda x: -math.cos(x), math.sin,
+                          math.cos, lambda x: -math.sin(x),
+                          lambda x: -math.cos(x), math.sin)
+
+
+def _relations(spec: SolutionSpec, eq: EquationSystem) -> list:
+    """(unknown, residual, guess, bracket) for each relation, in order:
+    an unknown that is a dependent of ``eq`` is a Jet, any other a
+    Param."""
+    deps = eq.js.dependents
+    return [(Jet(u) if u in deps else Param(u), res, spec.guesses.get(u, 0.0),
+             spec.brackets.get(u)) for u, res in spec.relations]
 
 
 def _check_points(pts, residual_at, seed: int, tol: float,
@@ -322,14 +375,15 @@ def _check_points(pts, residual_at, seed: int, tol: float,
                   detail=f"skipped {skipped}/{total} sample points")
 
 
-def _plan_points(plan: SamplePlan, vars_, constraints=(), binding=None):
-    """Deterministic sample points: a regular grid when requested, else
-    seeded uniform draws filtered by the constraints."""
-    binding = binding or ParameterBinding()
-    if plan.grid:
+def _sample_points(spec: SolutionSpec, vars_, seed: int, constraints,
+                   binding) -> list:
+    """Deterministic sample points: the spec's regular grid when it has
+    one, else seeded uniform draws filtered by the constraints, at most
+    RETRY_BUDGET draws in all."""
+    if spec.grid:
         axes = []
-        for v, cnt in zip(vars_, plan.grid):
-            lo, hi = plan.box[v.name]
+        for v, cnt in zip(vars_, spec.grid):
+            lo, hi = spec.box[v.name]
             axes.append([lo + (hi - lo) * (i + 0.5) / cnt for i in range(cnt)])
         pts = [{}]
         for v, axis in zip(vars_, axes):
@@ -341,11 +395,11 @@ def _plan_points(plan: SamplePlan, vars_, constraints=(), binding=None):
                     nxt.append(q)
             pts = nxt
         return pts
-    rng = random.Random(plan.seed)
+    rng = random.Random(seed)
     pts = []
-    budget = plan.retry_budget
-    while len(pts) < plan.n:
-        p, used = sample_point(vars_, constraints, rng, binding, plan.box, budget)
+    budget = RETRY_BUDGET
+    while len(pts) < spec.n:
+        p, used = sample_point(vars_, constraints, rng, binding, spec.box, budget)
         budget -= used
         if p is None:
             break
@@ -353,16 +407,16 @@ def _plan_points(plan: SamplePlan, vars_, constraints=(), binding=None):
     return pts
 
 
-def residual_explicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
-                      binding: ParameterBinding | None = None,
+def residual_explicit(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
                       tol: float | None = None) -> Result:
     """Substitute exact symbolic derivatives of an explicit solution into
-    each equation and evaluate at the plan's points; pass iff the largest
-    |residual| is at most ``tol`` (None: DEFAULT_EXPLICIT_TOL)."""
-    if sol.kind != "explicit":
-        raise ValueError("residual_explicit needs an explicit solution form")
-    binding = binding or ParameterBinding()
-    rules = [(Jet(dep), expr) for dep, expr in sol.explicit]
+    each equation and evaluate at its sample points (drawn with
+    ``seed``); pass iff the largest |residual| is at most ``tol`` (None:
+    DEFAULT_EXPLICIT_TOL)."""
+    if spec.kind != "explicit":
+        raise ValueError("residual_explicit needs an explicit solution")
+    binding = spec.make_binding()
+    rules = [(Jet(dep), expr) for dep, expr in spec.explicit]
     sub_sys = EquationSystem(eq.js, rules, name="solution")
     residuals = [restrict_to_manifold(lhs - rhs, sub_sys) for lhs, rhs in eq.equations]
 
@@ -371,27 +425,27 @@ def residual_explicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
     # jet coordinates they mention through the solution first
     constraints = tuple(
         Constraint(restrict_to_manifold(c.expr, sub_sys), c.rel)
-        for c in tuple(eq.constraints) + tuple(sol.constraints))
+        for c in tuple(eq.constraints) + tuple(spec.constraints))
     return _check_points(
-        _plan_points(plan, vars_, constraints, binding),
+        _sample_points(spec, vars_, seed, constraints, binding),
         lambda p: max(abs(eval_numeric(r, p, binding)) for r in residuals),
-        plan.seed, DEFAULT_EXPLICIT_TOL if tol is None else tol, "numeric")
+        seed, DEFAULT_EXPLICIT_TOL if tol is None else tol, "numeric")
 
 
-def _solve_chain(sol: SolutionForm, point, binding) -> dict:
+def _solve_chain(relations, point, binding) -> dict:
     """The base point with every relation's unknown solved, in order."""
     p = dict(point)
-    for unknown, res, guess, bracket in sol.relations:
+    for unknown, res, guess, bracket in relations:
         p[unknown] = solve_implicit(res, unknown, p, binding, guess, bracket)
     return p
 
 
-def _solve_solution_at(sol: SolutionForm, point, binding) -> float:
+def _solve_solution_at(spec: SolutionSpec, relations, point, binding) -> float:
     """Value of the solution's dependent variable at a base point."""
-    if sol.kind == "explicit":
-        expr = dict(sol.explicit)[sol.dep]
+    if spec.kind == "explicit":
+        expr = dict(spec.explicit)[spec.dep]
         return eval_numeric(expr, point, binding)
-    return _solve_chain(sol, point, binding)[sol.relations[-1][0]]
+    return _solve_chain(relations, point, binding)[relations[-1][0]]
 
 
 def _fd_stencil_1d(order: int, h: float):
@@ -406,10 +460,11 @@ def _fd_stencil_1d(order: int, h: float):
     raise ValueError("finite differences implemented up to second order")
 
 
-def _one_equation(fn: str, sol: SolutionForm, eq: EquationSystem,
-                  plan: SamplePlan, binding, max_order: int | None = None):
+def _one_equation(fn: str, spec: SolutionSpec, eq: EquationSystem, seed: int,
+                  binding, max_order: int | None = None):
     """The residual of ``eq``'s single equation, the jets of its
-    dependent in it (by order), the base variables and the plan's points.
+    dependent in it (by order), the base variables and the spec's
+    sample points.
     More than one equation, or a jet above ``max_order``, is a
     ValueError naming ``fn``, raised before any point is sampled.
     Constraints that mention jet coordinates cannot guide point sampling
@@ -424,24 +479,24 @@ def _one_equation(fn: str, sol: SolutionForm, eq: EquationSystem,
     if max_order is not None and any(j.order > max_order for j in jets):
         raise ValueError(f"{fn} supports equations of order <= {max_order}")
     base_vars = [Var(x) for x in eq.js.independent]
-    samplable = tuple(c for c in tuple(eq.constraints) + tuple(sol.constraints)
+    samplable = tuple(c for c in tuple(eq.constraints) + tuple(spec.constraints)
                       if not atoms(c.expr, Jet))
-    return residual, jets, base_vars, _plan_points(plan, base_vars, samplable,
-                                                   binding)
+    return residual, jets, base_vars, _sample_points(spec, base_vars, seed,
+                                                     samplable, binding)
 
 
-def residual_fd(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
-                binding: ParameterBinding | None = None,
+def residual_fd(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
                 tol: float | None = None) -> Result:
     """Evaluate the equation residual with derivatives formed by central
     finite differences on values of the (implicitly defined) solution;
     pass iff the largest |residual| is at most ``tol`` (None:
     DEFAULT_IMPLICIT_TOL).  It shares no derivative code with
     :func:`residual_implicit`, and is kept as its independent oracle."""
-    binding = binding or ParameterBinding()
+    binding = spec.make_binding()
     residual, jets, base_vars, pts = _one_equation(
-        "residual_fd", sol, eq, plan, binding, max_order=2)
-    h = plan.h
+        "residual_fd", spec, eq, seed, binding, max_order=2)
+    relations = _relations(spec, eq)
+    h = spec.h
 
     def residual_at(p) -> float:
         cache: dict = {}
@@ -450,7 +505,8 @@ def residual_fd(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
             if offsets not in cache:
                 q = {v: p[v] + off * h for v, off in zip(base_vars, offsets)}
                 q.update({v: p[v] for v in base_vars if v not in q})
-                cache[offsets] = _solve_solution_at(sol, q, binding)
+                cache[offsets] = _solve_solution_at(spec, relations, q,
+                                                    binding)
             return cache[offsets]
 
         env = dict(p)
@@ -467,7 +523,7 @@ def residual_fd(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
             env[j] = total
         return abs(eval_numeric(residual, env, binding))
 
-    return _check_points(pts, residual_at, plan.seed,
+    return _check_points(pts, residual_at, seed,
                          DEFAULT_IMPLICIT_TOL if tol is None else tol,
                          "finite-difference")
 
@@ -528,8 +584,7 @@ def _chain_jets(relations, indices):
     return dens, steps
 
 
-def residual_implicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
-                      binding: ParameterBinding | None = None,
+def residual_implicit(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
                       tol: float | None = None) -> Result:
     """Evaluate the equation residual on exact derivatives of the
     implicitly defined solution: one chain solve per point gives the
@@ -538,18 +593,19 @@ def residual_implicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
     where a relation is singular in its unknown is skipped.  Pass iff
     the largest |residual| is at most ``tol`` (None:
     DEFAULT_IMPLICIT_TOL)."""
-    if sol.kind != "implicit":
-        raise ValueError("residual_implicit needs an implicit solution form")
-    binding = binding or ParameterBinding()
-    residual, jets, _, pts = _one_equation("residual_implicit", sol, eq, plan,
+    if spec.kind != "implicit":
+        raise ValueError("residual_implicit needs an implicit solution")
+    binding = spec.make_binding()
+    residual, jets, _, pts = _one_equation("residual_implicit", spec, eq, seed,
                                            binding)
     indices = {()}
     for j in jets:
         indices |= _sub_indices(j.index)
-    dens, steps = _chain_jets(sol.relations, indices)
+    relations = _relations(spec, eq)
+    dens, steps = _chain_jets(relations, indices)
 
     def residual_at(p) -> float:
-        env = _solve_chain(sol, p, binding)
+        env = _solve_chain(relations, p, binding)
         den = [eval_numeric(d, env, binding) for d in dens]
         if 0.0 in den:
             raise DomainFault("relation is singular in its unknown")
@@ -558,6 +614,6 @@ def residual_implicit(sol: SolutionForm, eq: EquationSystem, plan: SamplePlan,
             env[sym] = -eval_numeric(e, env, binding) / den[i]
         return abs(eval_numeric(residual, env, binding))
 
-    return _check_points(pts, residual_at, plan.seed,
+    return _check_points(pts, residual_at, seed,
                          DEFAULT_IMPLICIT_TOL if tol is None else tol,
                          "implicit-exact")

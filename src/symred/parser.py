@@ -255,7 +255,11 @@ class _Parser:
 
 def parse_expression(text: str, ctx: SymbolContext, line: int = 1) -> Expr:
     p = _Parser(tokenize(text, line), ctx)
-    e = p.parse(0)
+    try:
+        e = p.parse(0)
+    except RecursionError:
+        # the parser descends once per nesting level
+        raise ParseError("expression nested too deeply", line) from None
     t = p.peek()
     if t.kind != "end":
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)

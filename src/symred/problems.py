@@ -7,13 +7,12 @@ frozen by golden-file tests.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from .expr import Jet, OpaqueInstance, Param, ParameterBinding, Var
 from .jets import CanonicalOperator, JetSpace, VectorField
-from .numeric import SamplePlan, SolutionForm, quadrature_instance
+from .numeric import SolutionSpec  # the solution record, re-exported here
 from .parser import (
     ParseError, SymbolContext, UndeclaredSymbol, parse_equation,
     parse_expression,
@@ -33,87 +32,6 @@ class DuplicateName(ParseError):
 
 _REL_TOKENS = ("!=", ">=", "<=", ">", "<")
 _NAME = re.compile(r"[^\W\d]\w*")   # an identifier, as the parser reads one
-
-
-@dataclass
-class SolutionSpec:
-    """Declarative description of a closed-form solution and how to
-    validate it numerically."""
-
-    name: str
-    kind: str = "explicit"
-    of: str = ""
-    explicit: list = field(default_factory=list)  # (dep name, Expr)
-    relations: list = field(default_factory=list)  # (unknown name, residual Expr)
-    guesses: dict = field(default_factory=dict)
-    brackets: dict = field(default_factory=dict)
-    dep: str = ""
-    constraints: list = field(default_factory=list)
-    binds: dict = field(default_factory=dict)       # param -> float
-    fn_binds: dict = field(default_factory=dict)    # function -> ("sin"|"cos"|"exp",) | ("const", c)
-    quadratures: dict = field(default_factory=dict)  # name -> (var, integrand Expr, lower)
-    box: dict = field(default_factory=dict)
-    grid: tuple = ()
-    h: float = 1e-4
-    n: int = 64
-    seed: int | None = None   # the bundle's seed key; None when unset
-    tol: float | None = None
-    expect: str = "pass"
-    aux: list = field(default_factory=list)  # auxiliary scalar unknowns
-
-    def make_binding(self) -> ParameterBinding:
-        functions = {}
-        for fname, spec in self.fn_binds.items():
-            if spec[0] == "sin":
-                functions[fname] = OpaqueInstance.sin()
-            elif spec[0] == "cos":
-                functions[fname] = _cos_instance()
-            elif spec[0] == "exp":
-                functions[fname] = OpaqueInstance(*([math.exp] * 8))
-            elif spec[0] == "const":
-                functions[fname] = OpaqueInstance.constant(spec[1])
-            else:
-                raise ValueError(f"unknown function binding {spec!r}")
-        binding = ParameterBinding(dict(self.binds), functions)
-        for qname, (var, integrand, lower) in self.quadratures.items():
-            v = Var(var)
-
-            def integrand_fn(t, _e=integrand, _v=v, _b=binding):
-                from .expr import eval_numeric
-                return eval_numeric(_e, {_v: t}, _b)
-
-            functions[qname] = quadrature_instance(integrand_fn, lower)
-        return ParameterBinding(dict(self.binds), functions)
-
-    def make_form(self, deps) -> SolutionForm:
-        if self.kind == "explicit":
-            return SolutionForm(kind="explicit", explicit=tuple(self.explicit),
-                                dep=self.dep, constraints=tuple(self.constraints),
-                                name=self.name)
-        relations = []
-        for uname, res in self.relations:
-            sym = Jet(uname) if uname in deps else Param(uname)
-            relations.append((sym, res, self.guesses.get(uname, 0.0),
-                              self.brackets.get(uname)))
-        return SolutionForm(kind="implicit", relations=tuple(relations),
-                            dep=self.dep, constraints=tuple(self.constraints),
-                            name=self.name)
-
-    def make_plan(self, seed=None) -> SamplePlan:
-        """Sampling plan.  The bundle's ``seed`` key, when set, pins the
-        seed; otherwise ``seed`` applies, and 0 when that is None too."""
-        if self.seed is not None:
-            seed = self.seed
-        return SamplePlan(box=dict(self.box), n=self.n,
-                          seed=0 if seed is None else seed,
-                          h=self.h, grid=self.grid)
-
-
-def _cos_instance() -> OpaqueInstance:
-    return OpaqueInstance(math.cos, lambda x: -math.sin(x),
-                          lambda x: -math.cos(x), math.sin,
-                          math.cos, lambda x: -math.sin(x),
-                          lambda x: -math.cos(x), math.sin)
 
 
 @dataclass
@@ -691,6 +609,5 @@ def parse_problem(text: str, name: str = "") -> ProblemBundle:
 
 
 def load_problem(path) -> ProblemBundle:
-    from pathlib import Path
     p = Path(path)
     return parse_problem(p.read_text(encoding="utf-8"), name=p.stem)

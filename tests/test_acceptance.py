@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from symred.checks import (
     check_classical, check_conditional, check_lie_backlund, novelty_diagnostic,
 )
-from symred.expr import Num, ParameterBinding, Var
+from symred.expr import Num, Var
 from symred.jets import JetSpace, VectorField
 from symred.numeric import residual_explicit, residual_implicit
 from symred.reduce import (
@@ -105,12 +106,10 @@ def test_criterion_5_explicit_solutions(bundles):
     b4 = bundles["eq4"]
     spec = b4.solutions["eq5"]
     sys_ = b4.system(spec.of)
-    form = spec.make_form(sys_.js.dependents)
     rng = random.Random(0)
     for _ in range(8):
         binds = {"alpha": rng.uniform(0.5, 1.5), "C1": rng.uniform(1.5, 3.0)}
-        binding = ParameterBinding(binds)
-        rep = residual_explicit(form, sys_, spec.make_plan(), binding)
+        rep = residual_explicit(replace(spec, binds=binds), sys_)
         assert rep.verdict != "inconclusive"
         assert rep.points_tested >= 64
         assert rep.witness_value < 1e-9, binds
@@ -119,8 +118,7 @@ def test_criterion_5_explicit_solutions(bundles):
     for name, tol in (("eq38", 1e-8), ("constantF", 1e-12)):
         spec = ode.solutions[name]
         sys_ = ode.system(spec.of)
-        rep = residual_explicit(spec.make_form(sys_.js.dependents), sys_,
-                                spec.make_plan(), spec.make_binding())
+        rep = residual_explicit(spec, sys_)
         assert rep.verdict != "inconclusive"
         assert rep.witness_value < tol
 
@@ -132,8 +130,7 @@ def test_criterion_6_implicit_solution(bundles):
     def run(name):
         spec = b.solutions[name]
         assert spec.h == 1e-4 and spec.grid == (5, 5)
-        return residual_implicit(spec.make_form(sys_.js.dependents), sys_,
-                                 spec.make_plan(), spec.make_binding())
+        return residual_implicit(spec, sys_)
 
     good = run("implicitTheta")
     assert good.verdict != "inconclusive"

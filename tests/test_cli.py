@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from symred import cli
 from symred.cli import UsageFault, main, run_suite
 from symred.problems import load_problem
 
@@ -333,4 +334,50 @@ def test_float_overflow_is_an_error_row_and_the_rest_runs(capsys, tmp_path):
     assert rows["b:huge"]["verdict"] == "error"
     assert rows["b:huge"]["detail"] == \
         "OverflowError: integer division result too large for a float"
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_expression_is_a_parse_error(capsys, tmp_path):
+    # at least one parser frame per nesting level: past the recursion
+    # limit whatever it is set to
+    depth = sys.getrecursionlimit()
+    bundle = tmp_path / "deep.prob"
+    bundle.write_text("[space]\nindependent x t\ndependent u(x,t)\n\n"
+                      "[equation heat]\nu[t] = u[x,x]\n\n"
+                      "[operator deep]\ntype point\non heat\n"
+                      "eta u = " + "sin(" * depth + "u" + ")" * depth + "\n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, "check", str(bundle))
+    assert code == 3
+    assert out == ""
+    assert "parse error: expression nested too deeply (line 11" in err
+    assert "Traceback" not in err
+
+
+def test_recursion_error_is_an_error_row_and_the_rest_runs(capsys, tmp_path,
+                                                          monkeypatch):
+    # a real tree deep enough to overflow takes minutes to check, so the
+    # check of one operator is made to raise instead
+    check = cli.check_classical
+
+    def overflowing(op, eq, **kw):
+        if op.name == "deep":
+            raise RecursionError("maximum recursion depth exceeded")
+        return check(op, eq, **kw)
+
+    monkeypatch.setattr(cli, "check_classical", overflowing)
+    bundle = tmp_path / "b.prob"
+    bundle.write_text("[space]\nindependent x t\ndependent u(x,t)\n\n"
+                      "[equation heat]\nu[t] = u[x,x]\n\n"
+                      "[operator deep]\ntype point\non heat\nxi t = 1\n\n"
+                      "[operator shift]\ntype point\non heat\nxi x = 1\n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, "check", str(bundle), "--format",
+                         "json-lines")
+    assert code == 4
+    rows = {row["case"]: row for row in map(json.loads, out.splitlines())}
+    assert rows["b:shift"]["verdict"] == "pass"
+    assert rows["b:deep"]["verdict"] == "error"
+    assert rows["b:deep"]["detail"] == \
+        "RecursionError: maximum recursion depth exceeded"
     assert "Traceback" not in err

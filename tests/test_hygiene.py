@@ -14,7 +14,8 @@ SRC = Path(symred.__file__).parent
 
 
 def _unused_imports(path: Path) -> list:
-    """Names a module imports and never reads (``a.b`` reads ``a``)."""
+    """Names a module imports and never reads (``a.b`` reads ``a``); a
+    name that is only assigned to is not read."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
     for node in ast.walk(tree):
@@ -24,7 +25,8 @@ def _unused_imports(path: Path) -> list:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return sorted(f"{path.name}:{ln} {name}" for name, ln in imported.items()
                   if name not in read)
 
@@ -42,6 +44,9 @@ def test_unused_import_scan_sees_an_unused_name(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("import os\nfrom math import pi, tau\nprint(tau)\n")
     assert _unused_imports(mod) == ["mod.py:1 os", "mod.py:2 pi"]
+    # a dataclass module whose records are gone; assigning is not reading
+    mod.write_text("from dataclasses import dataclass, field\nfield = 3\n")
+    assert _unused_imports(mod) == ["mod.py:1 dataclass", "mod.py:1 field"]
 
 
 def _private_imports(path: Path) -> list:

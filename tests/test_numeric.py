@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from symred.expr import (
     Jet, Num, Param, ParameterBinding, Var, func, opaque, pow_,
 )
 from symred.jets import JetSpace
+from symred import numeric
 from symred.numeric import (
-    NoConvergence, SamplePlan, SolutionForm, newton_system, quadrature,
+    NoConvergence, SolutionSpec, newton_system, quadrature,
     quadrature_instance, residual_explicit, residual_fd, residual_implicit,
     solve_implicit,
 )
@@ -53,6 +55,17 @@ def test_quadrature_instance_is_antiderivative():
     assert inst(1, 1.2) == pytest.approx(math.cos(1.2), abs=1e-7)
 
 
+def test_quadrature_integrand_sees_the_bound_function_not_itself():
+    # F is bound to sin, and a quadrature also named F integrates
+    # F(cos(s)): in the integrand F is the bound sin
+    s = Var("s")
+    spec = SolutionSpec("q", fn_binds={"F": ("sin",)}, quadratures={
+        "F": ("s", opaque("F", func("cos", s), 0), 0.0)})
+    F = spec.make_binding().functions["F"]
+    want, _ = quadrature(lambda t: math.sin(math.cos(t)), a=0.0, b=1.0)
+    assert F(0, 1.0) == pytest.approx(want, abs=1e-10)
+
+
 def test_solve_implicit_newton():
     # x = cos(x) has the Dolittle fixed point near 0.739
     res = x - func("cos", x)
@@ -88,28 +101,27 @@ def decay_system():
 
 def test_residual_explicit_exact_solution():
     js, sys_ = decay_system()
-    sol = SolutionForm(kind="explicit",
-                       explicit=(("u", func("exp", -Var("t"))),), dep="u")
-    rep = residual_explicit(sol, sys_, SamplePlan(box={"t": (0.0, 2.0)}, n=32))
+    sol = SolutionSpec("exact", explicit=[("u", func("exp", -Var("t")))],
+                       dep="u", box={"t": (0.0, 2.0)}, n=32)
+    rep = residual_explicit(sol, sys_)
     assert rep.verdict != "inconclusive"
     assert rep.witness_value < 1e-12
 
 
 def test_residual_explicit_wrong_solution():
     js, sys_ = decay_system()
-    sol = SolutionForm(kind="explicit",
-                       explicit=(("u", func("exp", Var("t"))),), dep="u")
-    rep = residual_explicit(sol, sys_, SamplePlan(box={"t": (0.0, 2.0)}, n=32))
+    sol = SolutionSpec("wrong", explicit=[("u", func("exp", Var("t")))],
+                       dep="u", box={"t": (0.0, 2.0)}, n=32)
+    rep = residual_explicit(sol, sys_)
     assert rep.witness_value > 1e-2
 
 
 def test_residual_implicit_on_explicit_form():
-    # the finite-difference path accepts explicit forms too
+    # the finite-difference path accepts explicit solutions too
     js, sys_ = decay_system()
-    sol = SolutionForm(kind="explicit",
-                       explicit=(("u", func("exp", -Var("t"))),), dep="u")
-    rep = residual_fd(sol, sys_,
-                            SamplePlan(box={"t": (0.0, 2.0)}, n=16, h=1e-5))
+    sol = SolutionSpec("exact", explicit=[("u", func("exp", -Var("t")))],
+                       dep="u", box={"t": (0.0, 2.0)}, n=16, h=1e-5)
+    rep = residual_fd(sol, sys_)
     assert rep.verdict != "inconclusive"
     assert rep.witness_value < 1e-6
 
@@ -117,45 +129,41 @@ def test_residual_implicit_on_explicit_form():
 def test_residual_implicit_relation_form():
     # u defined by ln(u) + t = 0, i.e. u = exp(-t)
     js, sys_ = decay_system()
-    sol = SolutionForm(kind="implicit",
-                       relations=((Jet("u"), func("ln", Jet("u")) + Var("t"),
-                                   0.5, (1e-6, 10.0)),),
-                       dep="u")
-    rep = residual_implicit(sol, sys_,
-                            SamplePlan(box={"t": (0.0, 2.0)}, n=16, h=1e-4))
+    sol = SolutionSpec("log", kind="implicit",
+                       relations=[("u", func("ln", Jet("u")) + Var("t"))],
+                       guesses={"u": 0.5}, brackets={"u": (1e-6, 10.0)},
+                       dep="u", box={"t": (0.0, 2.0)}, n=16, h=1e-4)
+    rep = residual_implicit(sol, sys_)
     assert rep.verdict != "inconclusive"
     assert rep.witness_value < 1e-5
 
 
 def test_report_tracks_skips():
     js, sys_ = decay_system()
-    sol = SolutionForm(kind="explicit",
-                       explicit=(("u", func("ln", -Var("t"))),), dep="u")
-    rep = residual_explicit(sol, sys_, SamplePlan(box={"t": (0.5, 2.0)}, n=16))
+    sol = SolutionSpec("outside", explicit=[("u", func("ln", -Var("t")))],
+                       dep="u", box={"t": (0.5, 2.0)}, n=16)
+    rep = residual_explicit(sol, sys_)
     assert rep.verdict == "inconclusive"  # every point faults on ln of a negative
 
 
-def test_explicit_report_counts_pinned(bundles):
+def test_explicit_report_counts_pinned(bundles, monkeypatch):
     b = bundles["eq4"]
     spec = b.solutions["eq5"]
     sys_ = b.system(spec.of)
-    form = spec.make_form(sys_.js.dependents)
-    rep = residual_explicit(form, sys_, spec.make_plan(seed=3),
-                            spec.make_binding())
+    rep = residual_explicit(spec, sys_, 3)
     assert (rep.points_tested + rep.points_skipped, rep.points_skipped) == (64, 0)
     # the solution's constraint fails for w < -ln 2: on a widened box
     # draws are rejected and the budget of 100 runs out at 60 points
-    plan = SamplePlan(box={"w": (-3.0, 2.0)}, n=64, seed=3, retry_budget=100)
-    rep = residual_explicit(form, sys_, plan, spec.make_binding())
+    monkeypatch.setattr(numeric, "RETRY_BUDGET", 100)
+    rep = residual_explicit(replace(spec, box={"w": (-3.0, 2.0)}), sys_, 3)
     assert (rep.points_tested + rep.points_skipped, rep.points_skipped) == (60, 0)
 
 
 def test_grid_plan_point_count():
     js, sys_ = decay_system()
-    sol = SolutionForm(kind="explicit",
-                       explicit=(("u", func("exp", -Var("t"))),), dep="u")
-    rep = residual_explicit(sol, sys_,
-                            SamplePlan(box={"t": (0.0, 2.0)}, grid=(7,)))
+    sol = SolutionSpec("exact", explicit=[("u", func("exp", -Var("t")))],
+                       dep="u", box={"t": (0.0, 2.0)}, grid=(7,))
+    rep = residual_explicit(sol, sys_)
     assert rep.points_tested + rep.points_skipped == 7
 
 
@@ -175,13 +183,13 @@ def _both_paths(sol, jet_vars, box, steps=(1e-3, 5e-4)):
     out = []
     for residual, h in [(residual_implicit, 0.0)] + \
             [(residual_fd, h) for h in steps]:
-        rep = residual(sol, sys_, SamplePlan(box=box, grid=(1, 1), h=h))
+        rep = residual(replace(sol, box=box, grid=(1, 1), h=h), sys_)
         assert rep.points_skipped == 0
         out.append(rep.witness_value)
     return out
 
 
-def _random_chain(seed: int, two: bool) -> SolutionForm:
+def _random_chain(seed: int, two: bool) -> SolutionSpec:
     """A chain whose relations are increasing in their unknowns (slope at
     least 1 - |k| > 0), so each has one root."""
     rng = random.Random(seed)
@@ -194,12 +202,13 @@ def _random_chain(seed: int, two: bool) -> SolutionForm:
         r1 = s + k[0] * func("sin", s) - c[0] * X * T - c[1] * func("exp", c[2] * X)
         r2 = u + k[1] * func("sin", u + s) - c[3] * s * X - c[4] * T \
             - c[5] * func("cos", s * T)
-        rel = ((s, r1, 0.0, (-50.0, 50.0)), (u, r2, 0.0, (-50.0, 50.0)))
+        rel = [("s", r1), ("u", r2)]
     else:
         r = u + k[0] * func("sin", u) - c[0] * X * T - c[1] * func("exp", c[2] * X) \
             - c[3] * func("cos", c[4] * T + c[5] * X)
-        rel = ((u, r, 0.0, (-50.0, 50.0)),)
-    return SolutionForm(kind="implicit", relations=rel, dep="u")
+        rel = [("u", r)]
+    return SolutionSpec("chain", kind="implicit", relations=rel, dep="u",
+                        brackets={name: (-50.0, 50.0) for name, _ in rel})
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -222,10 +231,8 @@ def test_exact_path_on_eq6_matches_finite_differences(bundles):
     sys_ = b.system("eq6")
     for name in ("implicitTheta", "thetaFlipped"):
         spec = b.solutions[name]
-        form = spec.make_form(sys_.js.dependents)
-        args = (form, sys_, spec.make_plan(seed=0), spec.make_binding())
-        exact = residual_implicit(*args, tol=spec.tol)
-        fd = residual_fd(*args, tol=spec.tol)
+        exact = residual_implicit(spec, sys_, 0, tol=spec.tol)
+        fd = residual_fd(spec, sys_, 0, tol=spec.tol)
         assert exact.provenance == "implicit-exact"
         assert fd.provenance == "finite-difference"
         assert (exact.verdict, exact.points_skipped) == \
@@ -241,14 +248,15 @@ def test_exact_path_has_no_order_limit():
     # u = exp(x + t) solves u_t = u_xxx
     sys_ = EquationSystem(XT, [(XT.jet("u", "t"), XT.jet("u", "x", "x", "x"))])
     u = Jet("u")
-    sol = SolutionForm(kind="implicit", dep="u", relations=(
-        (u, u - func("exp", Var("x") + Var("t")), 1.0, (1e-6, 50.0)),))
-    plan = SamplePlan(box={"x": (0.0, 1.0), "t": (0.0, 1.0)}, n=16)
-    rep = residual_implicit(sol, sys_, plan)
+    sol = SolutionSpec("exp", kind="implicit", dep="u",
+                       relations=[("u", u - func("exp", Var("x") + Var("t")))],
+                       guesses={"u": 1.0}, brackets={"u": (1e-6, 50.0)},
+                       box={"x": (0.0, 1.0), "t": (0.0, 1.0)}, n=16)
+    rep = residual_implicit(sol, sys_)
     assert rep.verdict == "pass" and rep.points_skipped == 0
     assert rep.witness_value < 1e-12
     with pytest.raises(ValueError, match="order <= 2"):
-        residual_fd(sol, sys_, plan)
+        residual_fd(sol, sys_)
 
 
 def test_singular_relation_point_is_skipped():
@@ -257,10 +265,10 @@ def test_singular_relation_point_is_skipped():
     sys_ = EquationSystem(XT, [(XT.jet("u", "t"), Jet("u"))])
     u = Jet("u")
     rel = (Var("x") - Num(Fraction(1, 2))) * (u - func("exp", Var("t")))
-    sol = SolutionForm(kind="implicit", dep="u",
-                       relations=((u, rel, 0.5, None),))
-    plan = SamplePlan(box={"x": (0.0, 1.0), "t": (0.0, 1.0)}, grid=(5, 1))
-    rep = residual_implicit(sol, sys_, plan)
+    sol = SolutionSpec("singular", kind="implicit", dep="u",
+                       relations=[("u", rel)], guesses={"u": 0.5},
+                       box={"x": (0.0, 1.0), "t": (0.0, 1.0)}, grid=(5, 1))
+    rep = residual_implicit(sol, sys_)
     assert (rep.points_tested, rep.points_skipped) == (4, 1)
     assert rep.verdict == "pass" and rep.witness_value < 1e-12
 
@@ -271,14 +279,12 @@ def test_exact_path_leaves_no_reference_cycles(bundles):
     b = bundles["eq6"]
     sys_ = b.system("eq6")
     spec = b.solutions["implicitTheta"]
-    args = (spec.make_form(sys_.js.dependents), sys_, spec.make_plan(),
-            spec.make_binding())
 
     def garbage(residual):
         gc.collect()
         gc.disable()
         try:
-            residual(*args)
+            residual(spec, sys_)
             return gc.collect()
         finally:
             gc.enable()

@@ -193,12 +193,10 @@ tol 1e-10
 """
     b = parse_problem(text)
     spec = b.solutions["s"]
-    binding = spec.make_binding()
-    plan = spec.make_plan()
-    assert plan.n == 16 and plan.seed == 3
+    assert spec.make_binding().params == {"C": -1.0}
+    assert spec.n == 16 and spec.seed == 3
     assert spec.tol == 1e-10
-    form = spec.make_form(b.space.dependents)
-    assert form.kind == "explicit" and form.dep == "u"
+    assert spec.kind == "explicit" and spec.dep == "u"
 
 
 def test_solution_must_reference_known_system():
