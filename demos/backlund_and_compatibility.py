@@ -28,9 +28,7 @@ def main():
 
     eq2 = load("eq2")
     spec = eq2.overdetermined["pairAfter5"]
-    rep = check_overdetermined(spec.assignments, eq2.space,
-                               constraints=spec.constraints, box=spec.box,
-                               n=spec.n)
+    rep = check_overdetermined(spec, eq2.space)
     print(f"overdetermined pair for the potential: {rep.verdict}")
 
 

@@ -24,8 +24,8 @@ from .checks import (
 )
 from .linalg import SingularImplicitSystem, gaussian_eliminate
 from .reduce import (
-    Ansatz, AnsatzFrame, BacklundRelation, ansatz_derivatives,
-    check_overdetermined, derive_reduction, systems_equivalent,
+    Ansatz, AnsatzFrame, BacklundRelation, OverdeterminedSpec,
+    ansatz_derivatives, check_overdetermined, derive_reduction, systems_equivalent,
     verify_backlund, verify_reduction,
 )
 from .numeric import (

@@ -207,9 +207,7 @@ def _run_backlund(bundle: ProblemBundle, entry, seed: int,
 
 def _run_overdetermined(bundle: ProblemBundle, spec, seed: int,
                         tol: float | None, expect: str = "") -> dict:
-    rec = _call(check_overdetermined, seed, tol, spec.assignments,
-                bundle.space, constraints=spec.constraints, box=spec.box,
-                n=spec.n)
+    rec = _call(check_overdetermined, seed, tol, spec, bundle.space)
     return _row(f"{bundle.name}:{spec.name}", "overdetermined", rec, expect)
 
 

@@ -4,7 +4,15 @@ tol=None)``, adaptive quadrature, one damped Newton solver (with a
 bisection safeguard for one unknown) for implicit relations and small
 systems, and PDE residuals via exact symbolic derivatives (of an
 implicit chain, by the implicit function theorem) or finite
-differences."""
+differences.
+
+Newton takes exact derivative expressions where the caller has them:
+the implicit path solves each relation on its exact dR/ds, and the
+overdetermined check of ``reduce`` on its relations' exact Jacobian.
+The finite-difference path (``residual_fd``, the CLI's ``--fd``) keeps
+central-difference Newton, as the independent oracle.  The symbolic
+part of each residual check is built once per spec and system and kept
+on the spec (``kept_build``), so later seeds only sample and evaluate."""
 
 from __future__ import annotations
 
@@ -168,65 +176,63 @@ def _gauss_solve(a, b):
 
 
 def newton_system(residuals, unknowns, point, binding: ParameterBinding | None = None,
-                  guesses=None, bracket=None):
+                  guesses=None, bracket=None, jacobian=None):
     """Solve ``residuals == 0`` for ``unknowns`` (parallel lists) from
     ``guesses`` (default 0.1 each); returns the list of values.
 
-    Damped Newton: a central-difference Jacobian (step 1e-7*(1+|v|)),
-    the step from :func:`_gauss_solve`, halved up to 40 times until the
-    largest |residual| drops.  With one unknown, a sign change of the
-    residual is kept as a bracket: ``bracket`` (lo, hi) seeds it once
-    both ends are checked (a guess out of domain then restarts from its
-    midpoint), and a Newton step that changes sign replaces it.  When
-    Newton stalls (out of domain, singular Jacobian, no descent), 200
-    bisection steps on the bracket take over.  Raises NoConvergence;
-    a DomainFault at a bisection point propagates."""
+    Damped Newton: the Jacobian is ``jacobian`` when given, a matrix of
+    expressions with ``jacobian[i][j]`` the exact derivative of
+    ``residuals[i]`` in ``unknowns[j]``, evaluated at each iterate; else
+    central differences (step 1e-7*(1+|v|)).  The step comes from
+    :func:`_gauss_solve`, or is ``g/g'`` with one unknown, and is halved
+    up to 40 times until the largest |residual| drops.  With one
+    unknown, a sign change of the residual is kept as a bracket:
+    ``bracket`` (lo, hi) seeds it once both ends are checked (a guess
+    out of domain then restarts from its midpoint), and a Newton step
+    that changes sign replaces it.  When Newton stalls (out of domain,
+    singular Jacobian, no descent), 200 bisection steps on the bracket
+    take over.  A bracket with more than one unknown is a ValueError.
+    Raises NoConvergence; a DomainFault at a bisection point
+    propagates."""
     binding = binding or ParameterBinding()
     k = len(unknowns)
     p = dict(point)
+    vals = list(guesses) if guesses is not None else [0.1] * k
+    if k == 1:
+        dres = None if jacobian is None else jacobian[0][0]
+        return [_newton_scalar(residuals[0], unknowns[0], p, binding, vals[0],
+                               bracket, dres)]
+    if bracket is not None:
+        raise ValueError("a bracket needs exactly one unknown")
 
     def g(vs):
         p.update(zip(unknowns, vs))
         return [eval_numeric(r, p, binding) for r in residuals]
 
-    lo_hi = None  # (a, residual at a, b) with a sign change on [a, b]
-    if bracket is not None:
-        a, b = bracket
-        try:
-            fa, fb = g([a])[0], g([b])[0]
-            if fa == 0.0:
-                return [a]
-            if fb == 0.0:
-                return [b]
-            if fa * fb < 0:
-                lo_hi = (a, fa, b)
-        except DomainFault:
-            pass
-
-    vals = list(guesses) if guesses is not None else [0.1] * k
     try:
         gv = g(vals)
     except DomainFault:
-        if lo_hi is None:
-            raise NoConvergence("initial guess out of domain", vals)
-        vals = [0.5 * (lo_hi[0] + lo_hi[2])]
-        gv = g(vals)
-
+        raise NoConvergence("initial guess out of domain", vals)
     for it in range(NEWTON_MAX_ITER + 1):
         nrm = max(map(abs, gv))
         if nrm < NEWTON_TOL:
             return vals
         if it == NEWTON_MAX_ITER:
             raise NoConvergence("iteration limit reached", vals, nrm)
-        jac = [[0.0] * k for _ in range(k)]
         try:
-            for j in range(k):
-                h = 1e-7 * (1.0 + abs(vals[j]))
-                up, dn = list(vals), list(vals)
-                up[j] += h
-                dn[j] -= h
-                for i, (u, d) in enumerate(zip(g(up), g(dn))):
-                    jac[i][j] = (u - d) / (2 * h)
+            if jacobian is None:
+                jac = [[0.0] * k for _ in range(k)]
+                for j in range(k):
+                    h = 1e-7 * (1.0 + abs(vals[j]))
+                    up, dn = list(vals), list(vals)
+                    up[j] += h
+                    dn[j] -= h
+                    for i, (u, d) in enumerate(zip(g(up), g(dn))):
+                        jac[i][j] = (u - d) / (2 * h)
+            else:
+                p.update(zip(unknowns, vals))
+                jac = [[eval_numeric(d, p, binding) for d in row]
+                       for row in jacobian]
             step = _gauss_solve(jac, list(gv))
         except DomainFault:
             step = None
@@ -238,20 +244,82 @@ def newton_system(residuals, unknowns, point, binding: ParameterBinding | None =
                 gt = [math.inf]
             nt = max(map(abs, gt))
             if nt < nrm or nt < NEWTON_TOL:
-                if k == 1 and (gv[0] > 0) != (gt[0] > 0):
-                    lo_hi = (vals[0], gv[0], trial[0])
                 vals, gv = trial, gt
                 break
             step = [s * 0.5 for s in step]
         else:
+            raise NoConvergence("Newton stalled without a bracket", vals, nrm)
+
+
+def _newton_scalar(res, unknown, p, binding, v, bracket, dres):
+    """:func:`newton_system` with one unknown, on floats: ``p`` is the
+    point (updated in place) and ``dres`` the exact derivative or None
+    for a central difference."""
+
+    def g(x):
+        p[unknown] = x
+        return eval_numeric(res, p, binding)
+
+    lo_hi = None  # (a, residual at a, b) with a sign change on [a, b]
+    if bracket is not None:
+        a, b = bracket
+        try:
+            fa, fb = g(a), g(b)
+            if fa == 0.0:
+                return a
+            if fb == 0.0:
+                return b
+            if fa * fb < 0:
+                lo_hi = (a, fa, b)
+        except DomainFault:
+            pass
+
+    try:
+        gv = g(v)
+    except DomainFault:
+        if lo_hi is None:
+            raise NoConvergence("initial guess out of domain", [v])
+        v = 0.5 * (lo_hi[0] + lo_hi[2])
+        gv = g(v)
+
+    for it in range(NEWTON_MAX_ITER + 1):
+        nrm = abs(gv)
+        if nrm < NEWTON_TOL:
+            return v
+        if it == NEWTON_MAX_ITER:
+            raise NoConvergence("iteration limit reached", [v], nrm)
+        try:
+            if dres is None:
+                h = 1e-7 * (1.0 + abs(v))
+                d = (g(v + h) - g(v - h)) / (2 * h)
+            else:
+                p[unknown] = v
+                d = eval_numeric(dres, p, binding)
+            step = gv / d if d != 0 and math.isfinite(d) else None
+        except DomainFault:
+            step = None
+        for _ in range(0 if step is None else 40):
+            trial = v - step
+            try:
+                gt = g(trial)
+            except DomainFault:
+                gt = math.inf
+            nt = abs(gt)
+            if nt < nrm or nt < NEWTON_TOL:
+                if (gv > 0) != (gt > 0):
+                    lo_hi = (v, gv, trial)
+                v, gv = trial, gt
+                break
+            step *= 0.5
+        else:
             if lo_hi is None:
-                raise NoConvergence("Newton stalled without a bracket", vals, nrm)
+                raise NoConvergence("Newton stalled without a bracket", [v], nrm)
             a, fa, b = lo_hi
             for _ in range(200):
                 m = 0.5 * (a + b)
-                fm = g([m])[0]
+                fm = g(m)
                 if abs(fm) < NEWTON_TOL:
-                    return [m]
+                    return m
                 if (fa > 0) != (fm > 0):
                     b = m
                 else:
@@ -260,10 +328,14 @@ def newton_system(residuals, unknowns, point, binding: ParameterBinding | None =
 
 
 def solve_implicit(res: Expr, unknown, point, binding: ParameterBinding | None = None,
-                   guess: float = 0.0, bracket=None) -> float:
+                   guess: float = 0.0, bracket=None,
+                   derivative: Expr | None = None) -> float:
     """The root of the scalar relation ``res == 0`` in ``unknown``: a
-    one-unknown :func:`newton_system` solve."""
-    return newton_system([res], [unknown], point, binding, [guess], bracket)[0]
+    one-unknown :func:`newton_system` solve, on ``derivative`` (the exact
+    d res/d unknown) when given, else on central differences."""
+    jacobian = None if derivative is None else [[derivative]]
+    return newton_system([res], [unknown], point, binding, [guess], bracket,
+                         jacobian)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +377,9 @@ class SolutionSpec:
     tol: float | None = None
     expect: str = "pass"
     aux: list = field(default_factory=list)  # auxiliary scalar unknowns
+    # the symbolic part of a residual check, per system checked against
+    _builds: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def make_binding(self) -> ParameterBinding:
         """The bound parameters and functions, and each quadrature as a
@@ -332,6 +407,18 @@ class SolutionSpec:
 
             quadratures[qname] = quadrature_instance(integrand_fn, lower)
         return bound.extended(functions=quadratures)
+
+
+def kept_build(builds: dict, system, make):
+    """``make()`` for ``system``, made on the first call and kept in
+    ``builds``, an entry's ``{id(system): (system, build)}``.  The entry
+    holds the system, so its identity is not reused while the build is
+    kept; a ``dataclasses.replace`` copy of the entry starts with no
+    builds."""
+    hit = builds.get(id(system))
+    if hit is None:
+        hit = builds[id(system)] = (system, make())
+    return hit[1]
 
 
 def _cos_instance() -> OpaqueInstance:
@@ -407,36 +494,46 @@ def _sample_points(spec: SolutionSpec, vars_, seed: int, constraints,
     return pts
 
 
+def _explicit_build(spec: SolutionSpec, eq: EquationSystem):
+    """The equations' residuals restricted to the solution, and the
+    domain constraints with any jet coordinates rewritten through it
+    (they are meant on the solution manifold)."""
+    rules = [(Jet(dep), expr) for dep, expr in spec.explicit]
+    sub_sys = EquationSystem(eq.js, rules, name="solution")
+    residuals = [restrict_to_manifold(lhs - rhs, sub_sys) for lhs, rhs in eq.equations]
+    constraints = tuple(
+        Constraint(restrict_to_manifold(c.expr, sub_sys), c.rel)
+        for c in tuple(eq.constraints) + tuple(spec.constraints))
+    return residuals, constraints
+
+
 def residual_explicit(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
                       tol: float | None = None) -> Result:
     """Substitute exact symbolic derivatives of an explicit solution into
     each equation and evaluate at its sample points (drawn with
     ``seed``); pass iff the largest |residual| is at most ``tol`` (None:
-    DEFAULT_EXPLICIT_TOL)."""
+    DEFAULT_EXPLICIT_TOL).  The substitution is made once per system and
+    kept on the spec."""
     if spec.kind != "explicit":
         raise ValueError("residual_explicit needs an explicit solution")
     binding = spec.make_binding()
-    rules = [(Jet(dep), expr) for dep, expr in spec.explicit]
-    sub_sys = EquationSystem(eq.js, rules, name="solution")
-    residuals = [restrict_to_manifold(lhs - rhs, sub_sys) for lhs, rhs in eq.equations]
-
+    residuals, constraints = kept_build(spec._builds, eq,
+                                        lambda: _explicit_build(spec, eq))
     vars_ = [Var(x) for x in eq.js.independent]
-    # domain constraints are meant on the solution manifold: rewrite any
-    # jet coordinates they mention through the solution first
-    constraints = tuple(
-        Constraint(restrict_to_manifold(c.expr, sub_sys), c.rel)
-        for c in tuple(eq.constraints) + tuple(spec.constraints))
     return _check_points(
         _sample_points(spec, vars_, seed, constraints, binding),
         lambda p: max(abs(eval_numeric(r, p, binding)) for r in residuals),
         seed, DEFAULT_EXPLICIT_TOL if tol is None else tol, "numeric")
 
 
-def _solve_chain(relations, point, binding) -> dict:
-    """The base point with every relation's unknown solved, in order."""
+def _solve_chain(relations, point, binding, dens=None) -> dict:
+    """The base point with every relation's unknown solved, in order:
+    Newton on the exact ``dens[i]`` = dR_i/ds_i when given, else on
+    central differences."""
     p = dict(point)
-    for unknown, res, guess, bracket in relations:
-        p[unknown] = solve_implicit(res, unknown, p, binding, guess, bracket)
+    for i, (unknown, res, guess, bracket) in enumerate(relations):
+        p[unknown] = solve_implicit(res, unknown, p, binding, guess, bracket,
+                                    None if dens is None else dens[i])
     return p
 
 
@@ -460,13 +557,13 @@ def _fd_stencil_1d(order: int, h: float):
     raise ValueError("finite differences implemented up to second order")
 
 
-def _one_equation(fn: str, spec: SolutionSpec, eq: EquationSystem, seed: int,
-                  binding, max_order: int | None = None):
+def _one_equation(fn: str, spec: SolutionSpec, eq: EquationSystem,
+                  max_order: int | None = None):
     """The residual of ``eq``'s single equation, the jets of its
-    dependent in it (by order), the base variables and the spec's
-    sample points.
+    dependent in it (by order), the base variables, and the constraints
+    that can guide point sampling.
     More than one equation, or a jet above ``max_order``, is a
-    ValueError naming ``fn``, raised before any point is sampled.
+    ValueError naming ``fn``.
     Constraints that mention jet coordinates cannot guide point sampling
     (derivative values only exist after the solve); those points rely on
     DomainFault skips."""
@@ -481,8 +578,7 @@ def _one_equation(fn: str, spec: SolutionSpec, eq: EquationSystem, seed: int,
     base_vars = [Var(x) for x in eq.js.independent]
     samplable = tuple(c for c in tuple(eq.constraints) + tuple(spec.constraints)
                       if not atoms(c.expr, Jet))
-    return residual, jets, base_vars, _sample_points(spec, base_vars, seed,
-                                                     samplable, binding)
+    return residual, jets, base_vars, samplable
 
 
 def residual_fd(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
@@ -493,8 +589,9 @@ def residual_fd(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
     DEFAULT_IMPLICIT_TOL).  It shares no derivative code with
     :func:`residual_implicit`, and is kept as its independent oracle."""
     binding = spec.make_binding()
-    residual, jets, base_vars, pts = _one_equation(
-        "residual_fd", spec, eq, seed, binding, max_order=2)
+    residual, jets, base_vars, samplable = _one_equation(
+        "residual_fd", spec, eq, max_order=2)
+    pts = _sample_points(spec, base_vars, seed, samplable, binding)
     relations = _relations(spec, eq)
     h = spec.h
 
@@ -584,28 +681,40 @@ def _chain_jets(relations, indices):
     return dens, steps
 
 
-def residual_implicit(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
-                      tol: float | None = None) -> Result:
-    """Evaluate the equation residual on exact derivatives of the
-    implicitly defined solution: one chain solve per point gives the
-    unknowns, and the implicit function theorem (:func:`_chain_jets`)
-    gives every derivative the equation needs, of any order.  A point
-    where a relation is singular in its unknown is skipped.  Pass iff
-    the largest |residual| is at most ``tol`` (None:
-    DEFAULT_IMPLICIT_TOL)."""
-    if spec.kind != "implicit":
-        raise ValueError("residual_implicit needs an implicit solution")
-    binding = spec.make_binding()
-    residual, jets, _, pts = _one_equation("residual_implicit", spec, eq, seed,
-                                           binding)
+def _implicit_build(spec: SolutionSpec, eq: EquationSystem):
+    """The symbolic part of :func:`residual_implicit`: the equation's
+    residual, the base variables, the constraints that guide sampling,
+    the relations, and :func:`_chain_jets` for every multi-index the
+    equation's jets need (sub-indices included)."""
+    residual, jets, base_vars, samplable = _one_equation(
+        "residual_implicit", spec, eq)
     indices = {()}
     for j in jets:
         indices |= _sub_indices(j.index)
     relations = _relations(spec, eq)
-    dens, steps = _chain_jets(relations, indices)
+    return (residual, base_vars, samplable, relations,
+            *_chain_jets(relations, indices))
+
+
+def residual_implicit(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
+                      tol: float | None = None) -> Result:
+    """Evaluate the equation residual on exact derivatives of the
+    implicitly defined solution: one chain solve per point gives the
+    unknowns, by Newton on the exact dR_i/ds_i, and the implicit function
+    theorem (:func:`_chain_jets`) gives every derivative the equation
+    needs, of any order.  The derivatives are built once per system and
+    kept on the spec.  A point where a relation is singular in its
+    unknown is skipped.  Pass iff the largest |residual| is at most
+    ``tol`` (None: DEFAULT_IMPLICIT_TOL)."""
+    if spec.kind != "implicit":
+        raise ValueError("residual_implicit needs an implicit solution")
+    binding = spec.make_binding()
+    residual, base_vars, samplable, relations, dens, steps = kept_build(
+        spec._builds, eq, lambda: _implicit_build(spec, eq))
+    pts = _sample_points(spec, base_vars, seed, samplable, binding)
 
     def residual_at(p) -> float:
-        env = _solve_chain(relations, p, binding)
+        env = _solve_chain(relations, p, binding, dens)
         den = [eval_numeric(d, env, binding) for d in dens]
         if 0.0 in den:
             raise DomainFault("relation is singular in its unknown")

@@ -17,7 +17,8 @@ from .parser import (
     ParseError, SymbolContext, UndeclaredSymbol, parse_equation,
     parse_expression,
 )
-from .reduce import Ansatz, BacklundRelation
+# the overdetermined pair record, re-exported here
+from .reduce import Ansatz, BacklundRelation, OverdeterminedSpec
 from .systems import EquationSystem
 from .zerotest import Constraint
 
@@ -32,16 +33,6 @@ class DuplicateName(ParseError):
 
 _REL_TOKENS = ("!=", ">=", "<=", ">", "<")
 _NAME = re.compile(r"[^\W\d]\w*")   # an identifier, as the parser reads one
-
-
-@dataclass
-class OverdeterminedSpec:
-    name: str
-    assignments: tuple
-    constraints: tuple = ()
-    box: dict = field(default_factory=dict)
-    n: int = 32
-    expect: str = "pass"
 
 
 @dataclass

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 from .expr import (
     Add, DomainFault, Expr, Jet, Mul, Num, ONE, Param, ParameterBinding, Var,
-    ZERO, add, atoms, eval_with_scale, expand, mul, substitute,
+    ZERO, add, atoms, diff_partial, eval_with_scale, expand, mul, substitute,
 )
 from .jets import JetSpace, total_derivative
 from .linalg import SingularImplicitSystem, gaussian_eliminate
-from .numeric import NoConvergence, newton_system
+from .numeric import NoConvergence, kept_build, newton_system
 from .parser import print_expression
 from .rewrites import (
     assume_positive, expand_trig, reduce_even_cosines, sqrt_pythagoras, touches,
@@ -331,26 +331,91 @@ def verify_backlund(bt: BacklundRelation, seed: int = 0,
 _NO_BINDING = ParameterBinding()
 
 
-def _solve_first_derivatives(assignments, point, rng, tries: int = 8):
+@dataclass
+class OverdeterminedSpec:
+    """An overdetermined pair of first-order relations: ``assignments``
+    (Jet, Expr) give first derivatives of one dependent, ``constraints``
+    and ``box`` guide the sampling of the base point, and ``n`` points
+    must pass per compatibility condition."""
+
+    name: str
+    assignments: tuple
+    constraints: tuple = ()
+    box: dict = field(default_factory=dict)
+    n: int = 32
+    expect: str = "pass"
+    # the symbolic part of check_overdetermined, per jet space
+    _builds: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
+
+
+@dataclass(frozen=True)
+class _PairBuild:
+    """What :func:`check_overdetermined` derives from a pair once: the
+    assigned jets, the residuals ``lhs - rhs`` and their exact Jacobian
+    in the assigned jets (for the Newton solve of the first
+    derivatives), and each nonzero leftover of the elimination with the
+    free symbols sampled for it."""
+
+    unknowns: list
+    residuals: list
+    jacobian: list
+    leftovers: list   # (leftover, free symbols)
+
+
+def _pair_build(assignments, js: JetSpace) -> _PairBuild:
+    """Eliminate the second-derivative jets from the differentiated
+    relations; the leftover rows are the compatibility conditions."""
+    deps = {lhs.dep for lhs, _ in assignments}
+    if len(deps) != 1:
+        raise ValueError("assignments must concern a single dependent variable")
+    args = js.dependents[deps.pop()]
+
+    seconds = sorted({lhs.lift(x) for lhs, _ in assignments for x in args},
+                     key=lambda j: j.index)
+    eqs = []
+    for lhs, rhs in assignments:
+        for x in args:
+            eqs.append(lhs.lift(x) - total_derivative(rhs, x, js))
+    _, leftovers, _ = gaussian_eliminate(eqs, seconds)
+
+    first_jets = [j for j, _ in assignments]
+    kept = []
+    for lo in leftovers:
+        if lo == ZERO:
+            continue
+        free = [s for s in free_numeric_symbols(lo, _NO_BINDING)
+                if s not in first_jets]
+        for _, rhs in assignments:
+            for s in free_numeric_symbols(rhs, _NO_BINDING):
+                if s not in first_jets and s not in free:
+                    free.append(s)
+        kept.append((lo, free))
+    residuals = [lhs - rhs for lhs, rhs in assignments]
+    memos: dict = {}
+    jacobian = [[diff_partial(r, j, memos) for j in first_jets]
+                for r in residuals]
+    return _PairBuild(first_jets, residuals, jacobian, kept)
+
+
+def _solve_first_derivatives(pair: _PairBuild, point, rng, tries: int = 8):
     """Numeric values of the assigned first-derivative jets at a base
     point.  The assignments may be implicit (right sides containing the
-    jets themselves), so this is a small Newton solve with random
-    restarts."""
-    unknowns = [lhs for lhs, _ in assignments]
-    residuals = [lhs - rhs for lhs, rhs in assignments]
+    jets themselves), so this is a small Newton solve, on the exact
+    Jacobian, with random restarts."""
     for _ in range(tries):
-        guesses = [rng.uniform(-2.0, 2.0) for _ in unknowns]
+        guesses = [rng.uniform(-2.0, 2.0) for _ in pair.unknowns]
         try:
-            vals = newton_system(residuals, unknowns, point, _NO_BINDING,
-                                 guesses=guesses)
-            return dict(zip(unknowns, vals))
+            vals = newton_system(pair.residuals, pair.unknowns, point,
+                                 _NO_BINDING, guesses=guesses,
+                                 jacobian=pair.jacobian)
+            return dict(zip(pair.unknowns, vals))
         except (NoConvergence, DomainFault):
             continue
     return None
 
 
-def check_overdetermined(assignments, js: JetSpace, seed: int = 0,
-                         constraints=(), box=None, n: int = 32,
+def check_overdetermined(spec: OverdeterminedSpec, js: JetSpace, seed: int = 0,
                          tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
     """Compatibility of an overdetermined pair of first-order relations
     for one dependent variable.
@@ -358,49 +423,31 @@ def check_overdetermined(assignments, js: JetSpace, seed: int = 0,
     The second-derivative jets are eliminated symbolically from the
     differentiated relations; the leftover rows of that elimination are
     the compatibility conditions, which are then tested numerically on
-    the solution manifold (base point sampled, first derivatives solved
-    from the relations at each point)."""
-    assignments = tuple(assignments)
-    deps = {lhs.dep for lhs, _ in assignments}
-    if len(deps) != 1:
-        raise ValueError("assignments must concern a single dependent variable")
-    dep = deps.pop()
-    args = js.dependents[dep]
-
-    unknowns = sorted({lhs.lift(x) for lhs, _ in assignments for x in args},
-                      key=lambda j: j.index)
-    eqs = []
-    for lhs, rhs in assignments:
-        for x in args:
-            eqs.append(lhs.lift(x) - total_derivative(rhs, x, js))
-    solution, leftovers, _ = gaussian_eliminate(eqs, unknowns)
-    leftovers = [lo for lo in leftovers if lo != ZERO]
-    if not leftovers:
+    the solution manifold (base point sampled from the spec's box and
+    constraints, first derivatives solved from the relations at each
+    point).  The elimination is made once per jet space and kept on the
+    spec."""
+    pair = kept_build(spec._builds, js,
+                      lambda: _pair_build(spec.assignments, js))
+    if not pair.leftovers:
         return combine([("compatibility", Result(ZERO_VERDICT))], seed,
                        tol_abs, tol_rel)
 
-    first_jets = set(j for j, _ in assignments)
     results = []
-    for i, lo in enumerate(leftovers):
+    for i, (lo, free) in enumerate(pair.leftovers):
         rng = random.Random(check_seed(seed, i))
-        free = [s for s in free_numeric_symbols(lo, _NO_BINDING)
-                if s not in first_jets]
-        for _, rhs in assignments:
-            for s in free_numeric_symbols(rhs, _NO_BINDING):
-                if s not in first_jets and s not in free:
-                    free.append(s)
         tested = 0
         budget = 256
         verdict = None
         witness = None
         witness_value = 0.0
-        while tested < n:
-            point, used = sample_point(free, constraints, rng, _NO_BINDING, box,
-                                       budget, default_box=(0.2, 2.0))
+        while tested < spec.n:
+            point, used = sample_point(free, spec.constraints, rng, _NO_BINDING,
+                                       spec.box, budget, default_box=(0.2, 2.0))
             budget -= used
             if point is None:
                 break
-            derivs = _solve_first_derivatives(assignments, point, rng)
+            derivs = _solve_first_derivatives(pair, point, rng)
             if derivs is None:
                 continue
             point.update(derivs)
@@ -415,7 +462,7 @@ def check_overdetermined(assignments, js: JetSpace, seed: int = 0,
                 witness_value = val
                 break
         if verdict is None:
-            verdict = ZERO_VERDICT if tested >= n else INCONCLUSIVE
+            verdict = ZERO_VERDICT if tested >= spec.n else INCONCLUSIVE
         results.append((f"compatibility condition {i}",
                         Result(verdict, "probabilistic", witness=witness,
                                witness_value=witness_value,

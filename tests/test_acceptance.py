@@ -151,9 +151,7 @@ def test_criterion_7_backlund(bundles):
 def test_criterion_8_overdetermined_pair(bundles):
     b = bundles["eq2"]
     spec = b.overdetermined["pairAfter5"]
-    rep = check_overdetermined(spec.assignments, b.space, seed=0,
-                               constraints=spec.constraints, box=spec.box,
-                               n=spec.n)
+    rep = check_overdetermined(spec, b.space, seed=0)
     assert rep.passed
 
 

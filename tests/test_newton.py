@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference_newton
 from symred import numeric
-from symred.expr import DomainFault, Num, Var, eval_numeric, func, pow_, rational
+from symred.expr import (
+    DomainFault, Num, Var, diff_partial, eval_numeric, func, pow_, rational,
+)
 from symred.numeric import NoConvergence, _gauss_solve, newton_system, solve_implicit
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -180,3 +182,92 @@ def test_singular_jacobian_raises_no_convergence():
         newton_system([X - Num(1), X - Num(2)], [X, Y], {})
     with pytest.raises(NoConvergence):
         solve_implicit(pow_(X, Num(2)) + Num(1), X, {}, guess=0.0)
+
+
+# -- exact Jacobians against central differences ------------------------------
+# Newton on exact derivative expressions must find the root central
+# differences find.  A root is only pinned to about NEWTON_TOL/|g'|, so
+# the scalar comparison is made at simple roots (|g'| >= 1e-3).  It starts
+# both paths next to the root the central path found from the drawn
+# guess: from the guess itself, on an oscillating relation, a difference
+# in the last bits of one step can carry the two paths to different
+# roots, both correct.
+
+def _converged(solve):
+    """The root a solve returns, or None when it raises."""
+    try:
+        return solve()
+    except (NoConvergence, DomainFault, OverflowError, ZeroDivisionError):
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_systems())
+def test_exact_jacobian_systems_agree_with_central_differences(system):
+    residuals, unknowns, guesses = system
+    jacobian = [[diff_partial(r, u) for u in unknowns] for r in residuals]
+    central = _converged(lambda: newton_system(residuals, unknowns, {},
+                                               guesses=guesses))
+    exact = _converged(lambda: newton_system(residuals, unknowns, {},
+                                             guesses=guesses,
+                                             jacobian=jacobian))
+    if central is not None:
+        assert exact == pytest.approx(central, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_exprs(), st.builds(rational, st.integers(-20, 20), st.integers(1, 4)),
+       st.floats(-4.0, 4.0))
+def test_exact_derivative_scalar_solves_agree_with_central_differences(
+        e, c, guess):
+    res = e - c
+    derivative = diff_partial(res, X)
+    root = _converged(lambda: solve_implicit(res, X, {}, guess=guess))
+    if root is None:
+        return
+    slope = _converged(lambda: abs(eval_numeric(derivative, {X: root})))
+    if slope is None or slope < 1e-3:
+        return
+    start = root + 1e-6 * (1.0 + abs(root))
+    central = _converged(lambda: solve_implicit(res, X, {}, guess=start))
+    exact = _converged(lambda: solve_implicit(res, X, {}, guess=start,
+                                              derivative=derivative))
+    if central is not None:
+        assert exact == pytest.approx(central, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("residuals, unknowns, guesses", [
+    ([X - func("cos", X)], [X], [0.5]),
+    ([pow_(X, Num(2)) + pow_(Y, Num(2)) - Num(25), X * Y - Num(12)], [X, Y],
+     [2.5, 4.5]),
+])
+def test_exact_jacobian_takes_the_central_steps(residuals, unknowns, guesses):
+    # both converge quadratically, so they take the same number of Newton
+    # steps to the same root; the exact path evaluates the Jacobian once
+    # per step instead of 2k residual vectors
+    jacobian = [[diff_partial(r, u) for u in unknowns] for r in residuals]
+    seen = []
+
+    def recorded(e, *args, **kw):
+        seen.append(e)
+        return eval_numeric(e, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "eval_numeric", recorded)
+        central = newton_system(residuals, unknowns, {}, guesses=guesses)
+        central_calls = [e is residuals[0] for e in seen].count(True)
+        seen.clear()
+        exact = newton_system(residuals, unknowns, {}, guesses=guesses,
+                              jacobian=jacobian)
+    k = len(unknowns)
+    steps = [e is jacobian[0][0] for e in seen].count(True)
+    # no step is halved here: the central path evaluates the guess, then
+    # 2k stencil points and one trial per step
+    assert central_calls == 1 + (2 * k + 1) * steps
+    assert [e is residuals[0] for e in seen].count(True) == 1 + steps
+    assert exact == pytest.approx(central, rel=1e-12)
+
+
+def test_a_bracket_needs_one_unknown():
+    with pytest.raises(ValueError):
+        newton_system([X - Y, X + Y], [X, Y], {}, bracket=(0.0, 1.0))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from symred.expr import (
@@ -5,7 +7,7 @@ from symred.expr import (
 )
 from symred.jets import JetSpace
 from symred.reduce import (
-    Ansatz, BacklundRelation, ansatz_derivatives,
+    Ansatz, BacklundRelation, OverdeterminedSpec, ansatz_derivatives,
     check_overdetermined, derive_reduction, systems_equivalent,
     verify_backlund, verify_reduction,
 )
@@ -151,7 +153,7 @@ def overdetermined_js():
 def test_overdetermined_trivial_incompatible():
     js = overdetermined_js()
     pair = [(js.jet("u", "x1"), Var("x2")), (js.jet("u", "x2"), ZERO)]
-    rep = check_overdetermined(pair, js)
+    rep = check_overdetermined(OverdeterminedSpec("pair", tuple(pair)), js)
     assert rep.verdict == "fail"
     # the first draw, from the default box 0.2 .. 2 at seed 0
     assert rep.witness["x2"] == 1.7199593327450866
@@ -166,9 +168,8 @@ def test_overdetermined_seed_stream_pinned(bundles):
     spec = b.overdetermined["pairAfter5"]
 
     def run(pair):
-        return check_overdetermined(pair, b.space, seed=0,
-                                    constraints=spec.constraints,
-                                    box=spec.box, n=spec.n)
+        return check_overdetermined(replace(spec, assignments=pair), b.space,
+                                    seed=0)
 
     rep = run(spec.assignments)
     assert [(p.verdict, p.points_tested) for p in rep.parts] == \
@@ -190,7 +191,7 @@ def test_overdetermined_separated_compatible():
     js = overdetermined_js()
     pair = [(js.jet("u", "x1"), opaque("f", Var("x1"))),
             (js.jet("u", "x2"), opaque("g", Var("x2")))]
-    rep = check_overdetermined(pair, js)
+    rep = check_overdetermined(OverdeterminedSpec("pair", tuple(pair)), js)
     assert rep.passed
 
 
@@ -198,5 +199,5 @@ def test_overdetermined_gradient_of_product():
     js = overdetermined_js()
     pair = [(js.jet("u", "x1"), Var("x2") * func("cos", Var("x1") * Var("x2"))),
             (js.jet("u", "x2"), Var("x1") * func("cos", Var("x1") * Var("x2")))]
-    rep = check_overdetermined(pair, js)
+    rep = check_overdetermined(OverdeterminedSpec("pair", tuple(pair)), js)
     assert rep.passed
