@@ -1,18 +1,19 @@
 """Floating-point validation of exact solutions: the solution record
 ``SolutionSpec`` and its residual checks ``residual_*(spec, eq, seed=0,
-tol=None)``, adaptive quadrature, one damped Newton solver (with a
-bisection safeguard for one unknown) for implicit relations and small
-systems, and PDE residuals via exact symbolic derivatives (of an
-implicit chain, by the implicit function theorem) or finite
-differences.
+tol=None)``, adaptive quadrature, one damped Newton loop
+(``newton_system``, for any number of unknowns, with a bisection
+safeguard for one) for implicit relations and small systems, and PDE
+residuals via exact symbolic derivatives (of an implicit chain, by the
+implicit function theorem) or finite differences.
 
-Newton takes exact derivative expressions where the caller has them:
-the implicit path solves each relation on its exact dR/ds, and the
+The Newton loop takes an exact Jacobian where the caller has one: the
+implicit path solves each relation on its exact dR/ds, and the
 overdetermined check of ``reduce`` on its relations' exact Jacobian.
-The finite-difference path (``residual_fd``, the CLI's ``--fd``) keeps
-central-difference Newton, as the independent oracle.  The symbolic
-part of each residual check is built once per spec and system and kept
-on the spec (``kept_build``), so later seeds only sample and evaluate."""
+The finite-difference path (``residual_fd``, the CLI's ``--fd``) runs
+the same loop on central differences, as the independent oracle.  The
+symbolic part of each residual check is built once per spec and system
+and kept on the spec (``kept_build``), so later seeds only sample and
+evaluate."""
 
 from __future__ import annotations
 
@@ -144,7 +145,7 @@ def quadrature_instance(integrand_fn, lower: float = 0.0) -> OpaqueInstance:
 
 
 # ---------------------------------------------------------------------------
-# implicit solves: one damped Newton iteration for scalar and small systems
+# implicit solves: one damped Newton loop for scalar and small systems
 
 # a solve succeeds once the largest |residual| is below NEWTON_TOL
 NEWTON_TOL = 1e-12
@@ -180,13 +181,13 @@ def newton_system(residuals, unknowns, point, binding: ParameterBinding | None =
     """Solve ``residuals == 0`` for ``unknowns`` (parallel lists) from
     ``guesses`` (default 0.1 each); returns the list of values.
 
-    Damped Newton: the Jacobian is ``jacobian`` when given, a matrix of
-    expressions with ``jacobian[i][j]`` the exact derivative of
-    ``residuals[i]`` in ``unknowns[j]``, evaluated at each iterate; else
-    central differences (step 1e-7*(1+|v|)).  The step comes from
-    :func:`_gauss_solve`, or is ``g/g'`` with one unknown, and is halved
-    up to 40 times until the largest |residual| drops.  With one
-    unknown, a sign change of the residual is kept as a bracket:
+    The one damped Newton loop, for any number of unknowns: the Jacobian
+    is ``jacobian`` when given, a matrix of expressions with
+    ``jacobian[i][j]`` the exact derivative of ``residuals[i]`` in
+    ``unknowns[j]``, evaluated at each iterate; else central differences
+    (step 1e-7*(1+|v|)).  The step comes from :func:`_gauss_solve` and
+    is halved up to 40 times until the largest |residual| drops.  With
+    one unknown, a sign change of the residual is kept as a bracket:
     ``bracket`` (lo, hi) seeds it once both ends are checked (a guess
     out of domain then restarts from its midpoint), and a Newton step
     that changes sign replaces it.  When Newton stalls (out of domain,
@@ -196,23 +197,37 @@ def newton_system(residuals, unknowns, point, binding: ParameterBinding | None =
     propagates."""
     binding = binding or ParameterBinding()
     k = len(unknowns)
-    p = dict(point)
-    vals = list(guesses) if guesses is not None else [0.1] * k
-    if k == 1:
-        dres = None if jacobian is None else jacobian[0][0]
-        return [_newton_scalar(residuals[0], unknowns[0], p, binding, vals[0],
-                               bracket, dres)]
-    if bracket is not None:
+    if bracket is not None and k != 1:
         raise ValueError("a bracket needs exactly one unknown")
+    p = dict(point)
 
     def g(vs):
         p.update(zip(unknowns, vs))
         return [eval_numeric(r, p, binding) for r in residuals]
 
+    lo_hi = None  # (a, residual at a, b) with a sign change on [a, b]
+    if bracket is not None:
+        a, b = bracket
+        try:
+            fa, fb = g([a])[0], g([b])[0]
+            if fa == 0.0:
+                return [a]
+            if fb == 0.0:
+                return [b]
+            if fa * fb < 0:
+                lo_hi = (a, fa, b)
+        except DomainFault:
+            pass
+
+    vals = list(guesses) if guesses is not None else [0.1] * k
     try:
         gv = g(vals)
     except DomainFault:
-        raise NoConvergence("initial guess out of domain", vals)
+        if lo_hi is None:
+            raise NoConvergence("initial guess out of domain", vals)
+        vals = [0.5 * (lo_hi[0] + lo_hi[2])]
+        gv = g(vals)
+
     for it in range(NEWTON_MAX_ITER + 1):
         nrm = max(map(abs, gv))
         if nrm < NEWTON_TOL:
@@ -244,82 +259,20 @@ def newton_system(residuals, unknowns, point, binding: ParameterBinding | None =
                 gt = [math.inf]
             nt = max(map(abs, gt))
             if nt < nrm or nt < NEWTON_TOL:
+                if k == 1 and (gv[0] > 0) != (gt[0] > 0):
+                    lo_hi = (vals[0], gv[0], trial[0])
                 vals, gv = trial, gt
                 break
             step = [s * 0.5 for s in step]
         else:
-            raise NoConvergence("Newton stalled without a bracket", vals, nrm)
-
-
-def _newton_scalar(res, unknown, p, binding, v, bracket, dres):
-    """:func:`newton_system` with one unknown, on floats: ``p`` is the
-    point (updated in place) and ``dres`` the exact derivative or None
-    for a central difference."""
-
-    def g(x):
-        p[unknown] = x
-        return eval_numeric(res, p, binding)
-
-    lo_hi = None  # (a, residual at a, b) with a sign change on [a, b]
-    if bracket is not None:
-        a, b = bracket
-        try:
-            fa, fb = g(a), g(b)
-            if fa == 0.0:
-                return a
-            if fb == 0.0:
-                return b
-            if fa * fb < 0:
-                lo_hi = (a, fa, b)
-        except DomainFault:
-            pass
-
-    try:
-        gv = g(v)
-    except DomainFault:
-        if lo_hi is None:
-            raise NoConvergence("initial guess out of domain", [v])
-        v = 0.5 * (lo_hi[0] + lo_hi[2])
-        gv = g(v)
-
-    for it in range(NEWTON_MAX_ITER + 1):
-        nrm = abs(gv)
-        if nrm < NEWTON_TOL:
-            return v
-        if it == NEWTON_MAX_ITER:
-            raise NoConvergence("iteration limit reached", [v], nrm)
-        try:
-            if dres is None:
-                h = 1e-7 * (1.0 + abs(v))
-                d = (g(v + h) - g(v - h)) / (2 * h)
-            else:
-                p[unknown] = v
-                d = eval_numeric(dres, p, binding)
-            step = gv / d if d != 0 and math.isfinite(d) else None
-        except DomainFault:
-            step = None
-        for _ in range(0 if step is None else 40):
-            trial = v - step
-            try:
-                gt = g(trial)
-            except DomainFault:
-                gt = math.inf
-            nt = abs(gt)
-            if nt < nrm or nt < NEWTON_TOL:
-                if (gv > 0) != (gt > 0):
-                    lo_hi = (v, gv, trial)
-                v, gv = trial, gt
-                break
-            step *= 0.5
-        else:
             if lo_hi is None:
-                raise NoConvergence("Newton stalled without a bracket", [v], nrm)
+                raise NoConvergence("Newton stalled without a bracket", vals, nrm)
             a, fa, b = lo_hi
             for _ in range(200):
                 m = 0.5 * (a + b)
-                fm = g(m)
+                fm = g([m])[0]
                 if abs(fm) < NEWTON_TOL:
-                    return m
+                    return [m]
                 if (fa > 0) != (fm > 0):
                     b = m
                 else:
@@ -466,22 +419,19 @@ def _sample_points(spec: SolutionSpec, vars_, seed: int, constraints,
                    binding) -> list:
     """Deterministic sample points: the spec's regular grid when it has
     one, else seeded uniform draws filtered by the constraints, at most
-    RETRY_BUDGET draws in all."""
+    RETRY_BUDGET draws in all.  A grid without one count and one box
+    range per variable is a ValueError."""
     if spec.grid:
+        names = [v.name for v in vars_]
+        if len(spec.grid) != len(names):
+            raise ValueError(f"grid needs one count per variable of {names}")
         axes = []
-        for v, cnt in zip(vars_, spec.grid):
-            lo, hi = spec.box[v.name]
+        for name, cnt in zip(names, spec.grid):
+            if name not in spec.box:
+                raise ValueError(f"grid needs a box range for {name}")
+            lo, hi = spec.box[name]
             axes.append([lo + (hi - lo) * (i + 0.5) / cnt for i in range(cnt)])
-        pts = [{}]
-        for v, axis in zip(vars_, axes):
-            nxt = []
-            for p in pts:
-                for x in axis:
-                    q = dict(p)
-                    q[v] = x
-                    nxt.append(q)
-            pts = nxt
-        return pts
+        return [dict(zip(vars_, xs)) for xs in product(*axes)]
     rng = random.Random(seed)
     pts = []
     budget = RETRY_BUDGET

@@ -149,6 +149,14 @@ def _integer(text: str, ln: int) -> int:
     return _number(text, ln, int)
 
 
+def _count(text: str, ln: int) -> int:
+    """A sample count: an integer of at least 1."""
+    n = _integer(text, ln)
+    if n < 1:
+        raise ParseError(f"expected a count of at least 1, got {n}", ln)
+    return n
+
+
 def _range(text: str, ln: int):
     if ".." not in text:
         raise ParseError("range needs 'lo .. hi'", ln)
@@ -484,7 +492,7 @@ class _Loader:
             "grid", lambda text, ln: tuple(_integer(p, ln) for p in text.split()),
             spec.grid)
         spec.h = sec.last("h", _number, spec.h)
-        spec.n = sec.last("n", _integer, spec.n)
+        spec.n = sec.last("n", _count, spec.n)
         spec.seed = sec.last("seed", _integer, spec.seed)
         spec.tol = sec.last("tol", _number, spec.tol)
         spec.expect = sec.expect()
@@ -576,7 +584,7 @@ class _Loader:
         ctx = self.context()
         constraints = sec.constraints(ctx)
         box = sec.ranges("box")
-        n = sec.last("n", _integer, 32)
+        n = sec.last("n", _count, 32)
         expect = sec.expect()
         assignments = sec.equations(ctx)
         if not assignments:

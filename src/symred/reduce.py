@@ -425,8 +425,9 @@ def check_overdetermined(spec: OverdeterminedSpec, js: JetSpace, seed: int = 0,
     the compatibility conditions, which are then tested numerically on
     the solution manifold (base point sampled from the spec's box and
     constraints, first derivatives solved from the relations at each
-    point).  The elimination is made once per jet space and kept on the
-    spec."""
+    point).  A condition with fewer than ``spec.n`` tested points, or
+    none, is inconclusive.  The elimination is made once per jet space
+    and kept on the spec."""
     pair = kept_build(spec._builds, js,
                       lambda: _pair_build(spec.assignments, js))
     if not pair.leftovers:
@@ -462,7 +463,7 @@ def check_overdetermined(spec: OverdeterminedSpec, js: JetSpace, seed: int = 0,
                 witness_value = val
                 break
         if verdict is None:
-            verdict = ZERO_VERDICT if tested >= spec.n else INCONCLUSIVE
+            verdict = ZERO_VERDICT if tested >= max(spec.n, 1) else INCONCLUSIVE
         results.append((f"compatibility condition {i}",
                         Result(verdict, "probabilistic", witness=witness,
                                witness_value=witness_value,

@@ -381,3 +381,32 @@ def test_recursion_error_is_an_error_row_and_the_rest_runs(capsys, tmp_path,
     assert rows["b:deep"]["detail"] == \
         "RecursionError: maximum recursion depth exceeded"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid, boxes, message", [
+    ("grid 3 3", "box x = 0 .. 1\n", "grid needs a box range for t"),
+    ("grid 3", "box x = 0 .. 1\nbox t = 0 .. 1\n",
+     "grid needs one count per variable of ['x', 't']"),
+])
+def test_grid_without_a_range_per_variable_is_an_error_row(capsys, tmp_path,
+                                                           grid, boxes,
+                                                           message):
+    bundle = tmp_path / "b.prob"
+    bundle.write_text("[space]\nindependent x t\ndependent u(x,t)\n\n"
+                      "[equation heat]\nu[t] = u[x,x]\n\n"
+                      "[solution gridded]\nkind explicit\nof heat\nu = x\n"
+                      f"{boxes}{grid}\n\n"
+                      "[solution drawn]\nkind explicit\nof heat\n"
+                      "u = x + 2*t\nn 8\nexpect fail\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(bundle), "--solution",
+                         "gridded", "--format", "json-lines")
+    assert code == 4
+    row = json.loads(out)
+    assert row["verdict"] == "error"
+    assert row["detail"] == f"ValueError: {message}"
+    assert "Traceback" not in err
+    # the entry after it still runs
+    rows = {row["case"]: row for row in run_suite(load_problem(bundle), 0)}
+    assert rows["b:gridded"]["verdict"] == "error"
+    assert rows["b:drawn"]["verdict"] == "fail"
+    assert rows["b:drawn"]["ok"] is True

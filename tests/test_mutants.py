@@ -14,10 +14,14 @@ part of the entry by 8/7, and every row it produces must get ``fail``.
   a right side of the candidate, or of the ansatz's targets.  Its rows
   are the reduction row and, where the entry has ``derive``, the
   derivation row.
-- An explicit solution, or an overdetermined pair: one top-level term of
-  a right side.  ``constantF``'s ``cos(x2)`` term is left out: with
-  F = 1, eq35 reads u[x1,x2] = u[x1]^2, and adding any function of x2 to
-  a solution u keeps it a solution, so that mutant is equivalent.
+- An explicit solution, a Bäcklund pair or an overdetermined pair: one
+  top-level term of a right side.  ``constantF``'s ``cos(x2)`` term is
+  left out: with F = 1, eq35 reads u[x1,x2] = u[x1]^2, and adding any
+  function of x2 to a solution u keeps it a solution, so that mutant is
+  equivalent.
+- An implicit solution: one top-level term of a relation's residual
+  ``lhs - rhs``.  The root each relation solves for moves, so these rows
+  drive the bracketed Newton solve on roots away from the true ones.
 
 Adding 1 instead of scaling is not a valid mutant either: a translation
 added to a symmetry of an autonomous equation is still a symmetry."""
@@ -116,7 +120,8 @@ def _only(bundle, kind: str, entry, **changes):
 
 def row_mutants(bundles) -> list:
     """(case, label, one-entry bundle) for every mutant of a passing
-    ansatz with a candidate, explicit solution or overdetermined pair."""
+    ansatz with a candidate, solution, Bäcklund pair or overdetermined
+    pair."""
     out = []
     for name in sorted(bundles):
         b = bundles[name]
@@ -133,12 +138,21 @@ def row_mutants(bundles) -> list:
                 m = replace(e, ansatz=replace(e.ansatz, targets=targets))
                 out.append((f"{name}:{e.name}", label, _only(b, "ansatzes", m)))
         for spec in b.solutions.values():
-            if spec.expect != "pass" or spec.kind != "explicit":
+            if spec.expect != "pass":
                 continue
-            for label, explicit in _scaled_terms(spec.explicit):
-                m = replace(spec, explicit=list(explicit))
+            part = "explicit" if spec.kind == "explicit" else "relations"
+            for label, pairs in _scaled_terms(getattr(spec, part)):
+                m = replace(spec, **{part: list(pairs)})
                 out.append((f"{name}:{spec.name}", label,
                             _only(b, "solutions", m)))
+        for e in b.backlunds.values():
+            if e.expect != "pass":
+                continue
+            for label, relations in _scaled_terms(e.relation.relations):
+                m = replace(e, relation=replace(e.relation,
+                                                relations=relations))
+                out.append((f"{name}:{e.name}", label,
+                            _only(b, "backlunds", m)))
         for spec in b.overdetermined.values():
             if spec.expect != "pass":
                 continue
@@ -153,8 +167,9 @@ def test_row_mutants_cover_every_right_side_term(bundles):
     counts = Counter(case for case, _, _ in row_mutants(bundles))
     assert counts == {
         "eq2:pairAfter5": 2, "eq3:ansatz4": 3, "eq3:eq4": 3, "eq4:eq5": 2,
-        "ode32:constantF": 1, "ode32:eq36": 1, "ode32:eq38": 2,
-        "ode32:logAnsatz": 2, "sg_deformed:eq16": 3, "sg_deformed:eq17": 2,
+        "eq6:implicitTheta": 4, "ode32:constantF": 1, "ode32:eq36": 1,
+        "ode32:eq38": 2, "ode32:logAnsatz": 2, "sg_deformed:eq16": 3,
+        "sg_deformed:eq17": 2, "sg_deformed:eq18": 3,
     }
 
 
@@ -166,4 +181,4 @@ def test_every_row_mutant_fails(bundles, seed):
         assert out and all(r["verdict"] == "fail" for r in out), \
             (case, label, out)
         rows += len(out)
-    assert rows == 29  # 21 mutants, 8 of them with a derivation row too
+    assert rows == 36  # 28 mutants, 8 of them with a derivation row too

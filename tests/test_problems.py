@@ -90,11 +90,13 @@ def test_error_reports_line_number():
     ("[solution s]", "guess u 0.5"),
     ("[solution s]", "grid 5 x"),
     ("[solution s]", "n many"),
+    ("[solution s]", "n 0"),
     ("[solution s]", "seed 1.5"),
     ("[solution s]", "bind F = const"),
     ("[solution s]", "quadrature I(s) from 0"),
     ("[overdetermined o]", "box x1 0 .. 1"),
     ("[overdetermined o]", "n many"),
+    ("[overdetermined o]", "n 0"),
     ("[operator o]", "mode conditonal"),
     ("[params]", "2k != 0"),
     ("[params]", "!= 0"),

@@ -161,6 +161,16 @@ def test_overdetermined_trivial_incompatible():
     assert rep.parts[0].points_tested == 1
 
 
+def test_overdetermined_condition_with_no_tested_point_is_inconclusive():
+    # the incompatible pair above, asked for no points: nothing was tested,
+    # so nothing may pass
+    js = overdetermined_js()
+    pair = [(js.jet("u", "x1"), Var("x2")), (js.jet("u", "x2"), ZERO)]
+    rep = check_overdetermined(OverdeterminedSpec("pair", tuple(pair), n=0), js)
+    assert rep.verdict == "inconclusive"
+    assert rep.parts[0].points_tested == 0
+
+
 def test_overdetermined_seed_stream_pinned(bundles):
     # exact counts and witness of the bundled pair at seed 0; a change to
     # the draw order or the budget accounting shows here
