@@ -28,7 +28,8 @@ from .expr import (
 )
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
-    FAIL, INCONCLUSIVE, PASS, Constraint, Result, sample_point, within_tol,
+    FAIL, INCONCLUSIVE, PASS, Constraint, Result, kept_build, sample_point,
+    within_tol,
 )
 
 # pass thresholds on the largest |residual| when a solution names none
@@ -362,18 +363,6 @@ class SolutionSpec:
         return bound.extended(functions=quadratures)
 
 
-def kept_build(builds: dict, system, make):
-    """``make()`` for ``system``, made on the first call and kept in
-    ``builds``, an entry's ``{id(system): (system, build)}``.  The entry
-    holds the system, so its identity is not reused while the build is
-    kept; a ``dataclasses.replace`` copy of the entry starts with no
-    builds."""
-    hit = builds.get(id(system))
-    if hit is None:
-        hit = builds[id(system)] = (system, make())
-    return hit[1]
-
-
 def _cos_instance() -> OpaqueInstance:
     return OpaqueInstance(math.cos, lambda x: -math.sin(x),
                           lambda x: -math.cos(x), math.sin,
@@ -467,7 +456,7 @@ def residual_explicit(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
     if spec.kind != "explicit":
         raise ValueError("residual_explicit needs an explicit solution")
     binding = spec.make_binding()
-    residuals, constraints = kept_build(spec._builds, eq,
+    residuals, constraints = kept_build(spec._builds, (eq,),
                                         lambda: _explicit_build(spec, eq))
     vars_ = [Var(x) for x in eq.js.independent]
     return _check_points(
@@ -660,7 +649,7 @@ def residual_implicit(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
         raise ValueError("residual_implicit needs an implicit solution")
     binding = spec.make_binding()
     residual, base_vars, samplable, relations, dens, steps = kept_build(
-        spec._builds, eq, lambda: _implicit_build(spec, eq))
+        spec._builds, (eq,), lambda: _implicit_build(spec, eq))
     pts = _sample_points(spec, base_vars, seed, samplable, binding)
 
     def residual_at(p) -> float:

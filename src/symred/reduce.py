@@ -21,7 +21,7 @@ from .expr import (
 )
 from .jets import JetSpace, total_derivative
 from .linalg import SingularImplicitSystem, gaussian_eliminate
-from .numeric import NoConvergence, kept_build, newton_system
+from .numeric import NoConvergence, newton_system
 from .parser import print_expression
 from .rewrites import (
     assume_positive, expand_trig, reduce_even_cosines, sqrt_pythagoras, touches,
@@ -29,8 +29,8 @@ from .rewrites import (
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
     FAIL, INCONCLUSIVE, NONZERO, ZERO_VERDICT, Constraint, Result, check_parts,
-    check_seed, combine, free_numeric_symbols, is_zero, sample_point,
-    within_tol,
+    check_seed, combine, free_numeric_symbols, is_zero, kept_build,
+    sample_point, within_tol,
 )
 
 
@@ -57,6 +57,11 @@ class Ansatz:
     positive: bool = False
     nonneg: tuple = ()
     name: str = ""
+    # the seed-independent work of the checks, by key: the frame (),
+    # derive_reduction's solved equations (original,), verify_reduction's
+    # restricted residuals (original, candidate)
+    _builds: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -111,6 +116,11 @@ def ansatz_derivatives(a: Ansatz) -> AnsatzFrame:
     return AnsatzFrame(full_js, system, tuple(constraints))
 
 
+def _frame(a: Ansatz) -> AnsatzFrame:
+    """The ansatz's frame, resolved once and kept on the ansatz."""
+    return kept_build(a._builds, (), lambda: ansatz_derivatives(a))
+
+
 def _compat_residuals(rules, js: JetSpace):
     """Cross-derivative compatibility residuals among first-order rules
     (Jet, Expr) of the same dependent: D_j R_i - D_i R_j."""
@@ -132,8 +142,20 @@ def verify_reduction(a: Ansatz, original: EquationSystem,
     """Check that the ansatz maps solutions of the candidate reduced
     system to solutions of the original: substitute the ansatz into each
     original equation (and into the targets' own cross-derivative
-    compatibility), restrict to the candidate manifold, zero-test."""
-    frame = ansatz_derivatives(a)
+    compatibility), restrict to the candidate manifold, zero-test.  The
+    restricted residuals are built once per (original, candidate) and
+    kept on the ansatz."""
+    constraints, parts = kept_build(
+        a._builds, (original, candidate),
+        lambda: _reduction_parts(a, original, candidate))
+    return check_parts(parts, constraints, seed, tol_abs, tol_rel)
+
+
+def _reduction_parts(a: Ansatz, original: EquationSystem,
+                     candidate: EquationSystem):
+    """The constraints and labelled residuals that verify_reduction
+    zero-tests."""
+    frame = _frame(a)
     cand = EquationSystem(frame.js, candidate.equations, candidate.constraints,
                           candidate.name)
     constraints = tuple(original.constraints) + frame.constraints + \
@@ -141,10 +163,9 @@ def verify_reduction(a: Ansatz, original: EquationSystem,
     labelled = [(f"equation {i}", lhs - rhs)
                 for i, (lhs, rhs) in enumerate(original.equations)]
     labelled += _compat_residuals(a.targets, frame.js)
-    parts = ((label, restrict_to_manifold(restrict_to_manifold(r, frame.system),
-                                          cand))
-             for label, r in labelled)
-    return check_parts(parts, constraints, seed, tol_abs, tol_rel)
+    return constraints, [
+        (label, restrict_to_manifold(restrict_to_manifold(r, frame.system), cand))
+        for label, r in labelled]
 
 
 def _coefficient_split(r: Expr, elim):
@@ -173,16 +194,62 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
     for its highest unknown-function derivative.  Returns an
     EquationSystem on success, and otherwise a failing Result whose
     ``detail`` gives the reason.  The tolerances apply where two
-    separated equations for the same derivative are compared.
+    separated equations for the same derivative are compared.  The
+    separation and the solved equations are made once per original and
+    kept on the ansatz; only that comparison takes the seed.
     """
     def failure(reason: str) -> Result:
         return Result(FAIL, detail=reason, seed=seed, tol_abs=tol_abs,
                       tol_rel=tol_rel)
 
+    solved = kept_build(a._builds, (original,),
+                        lambda: _derivation(a, original))
+    if isinstance(solved, str):
+        return failure(solved)
+    frame = _frame(a)
+
+    # dedupe repeated equations (the same relation often arrives from
+    # several coefficients); conflicting right sides are a failure
+    kept_eqs: dict = {}
+    kept_pivots: list = []
+    for i, (lead, rhs, pivot) in enumerate(solved):
+        if lead in kept_eqs:
+            if kept_eqs[lead] == rhs:
+                continue
+            zr = is_zero(kept_eqs[lead] - rhs, frame.constraints,
+                         seed=check_seed(seed, 500 + i), tol_abs=tol_abs,
+                         tol_rel=tol_rel)
+            if zr.is_zero:
+                continue
+            return failure(
+                "inconsistent: two separated equations force different values "
+                f"for {lead!r}")
+        kept_eqs[lead] = rhs
+        if not isinstance(pivot, Num) and \
+                all(c.expr != pivot for c in kept_pivots):
+            kept_pivots.append(Constraint(pivot, "!="))
+
+    if not kept_eqs:
+        return failure("the ansatz produced no equations")
+    if len(kept_eqs) > len(a.phis):
+        return failure(
+            f"{len(kept_eqs)} independent reduced equations for "
+            f"{len(a.phis)} unknown functions")
+
+    equations = sorted(kept_eqs.items(), key=lambda kv: (kv[0].dep, kv[0].index))
+    return EquationSystem(frame.js, equations,
+                          frame.constraints + tuple(kept_pivots),
+                          name=(a.name + " reduced") if a.name else "reduced")
+
+
+def _derivation(a: Ansatz, original: EquationSystem):
+    """derive_reduction's seed-independent half: the equations (lead,
+    rhs, pivot) solved from the separated coefficients, or the reason
+    there are none."""
     try:
-        frame = ansatz_derivatives(a)
+        frame = _frame(a)
     except SingularImplicitSystem as exc:
-        return failure(f"implicit invariant chain is singular: {exc}")
+        return f"implicit invariant chain is singular: {exc}"
 
     kept = set(a.invariants)
     for args in a.phis.values():
@@ -221,55 +288,20 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
             if coeff == ZERO:
                 continue
             if isinstance(coeff, Num):
-                return failure(
-                    "inconsistent: a separated coefficient is a nonzero constant")
+                return "inconsistent: a separated coefficient is a nonzero constant"
             phi_jets = [s for s in atoms(coeff, Jet) if s.dep in a.phis]
             deriv_jets = [s for s in phi_jets if s.order >= 1]
             if not deriv_jets:
-                return failure(
-                    "a separated term has no unknown-function derivative to match "
-                    "(degenerate ansatz)")
+                return ("a separated term has no unknown-function derivative "
+                        "to match (degenerate ansatz)")
             lead = max(deriv_jets, key=lambda j: (j.order, j.dep, j.index))
             try:
                 solution, _, (pivot,) = gaussian_eliminate([coeff], [lead])
             except (ValueError, SingularImplicitSystem):
-                return failure(
-                    "cannot solve a separated equation linearly for its "
-                    "highest unknown-function derivative")
+                return ("cannot solve a separated equation linearly for its "
+                        "highest unknown-function derivative")
             solved.append((lead, solution[lead], pivot))
-
-    # dedupe repeated equations (the same relation often arrives from
-    # several coefficients); conflicting right sides are a failure
-    kept_eqs: dict = {}
-    kept_pivots: list = []
-    for i, (lead, rhs, pivot) in enumerate(solved):
-        if lead in kept_eqs:
-            if kept_eqs[lead] == rhs:
-                continue
-            zr = is_zero(kept_eqs[lead] - rhs, frame.constraints,
-                         seed=check_seed(seed, 500 + i), tol_abs=tol_abs,
-                         tol_rel=tol_rel)
-            if zr.is_zero:
-                continue
-            return failure(
-                "inconsistent: two separated equations force different values "
-                f"for {lead!r}")
-        kept_eqs[lead] = rhs
-        if not isinstance(pivot, Num) and \
-                all(c.expr != pivot for c in kept_pivots):
-            kept_pivots.append(Constraint(pivot, "!="))
-
-    if not kept_eqs:
-        return failure("the ansatz produced no equations")
-    if len(kept_eqs) > len(a.phis):
-        return failure(
-            f"{len(kept_eqs)} independent reduced equations for "
-            f"{len(a.phis)} unknown functions")
-
-    equations = sorted(kept_eqs.items(), key=lambda kv: (kv[0].dep, kv[0].index))
-    return EquationSystem(frame.js, equations,
-                          frame.constraints + tuple(kept_pivots),
-                          name=(a.name + " reduced") if a.name else "reduced")
+    return solved
 
 
 def systems_equivalent(s1: EquationSystem, s2: EquationSystem, seed: int = 0,
@@ -305,13 +337,25 @@ class BacklundRelation:
     target: EquationSystem
     constraints: tuple = ()
     name: str = ""
+    # verify_backlund's constraints and restricted residuals (key ())
+    _builds: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
 
 def verify_backlund(bt: BacklundRelation, seed: int = 0,
                     tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
     """Pass iff, modulo the source equation and the relations themselves,
     (a) the relations are cross-derivative compatible and (b) the target
-    equation's residual vanishes."""
+    equation's residual vanishes.  The restricted residuals are built
+    once and kept on the relation."""
+    constraints, parts = kept_build(bt._builds, (),
+                                    lambda: _backlund_parts(bt))
+    return check_parts(parts, constraints, seed, tol_abs, tol_rel)
+
+
+def _backlund_parts(bt: BacklundRelation):
+    """The constraints and labelled residuals that verify_backlund
+    zero-tests."""
     source = EquationSystem(bt.js, bt.source.equations, bt.source.constraints,
                             bt.source.name)
     constraints = tuple(bt.constraints) + tuple(source.constraints) + \
@@ -319,9 +363,9 @@ def verify_backlund(bt: BacklundRelation, seed: int = 0,
     labelled = _compat_residuals(bt.relations, bt.js)
     for i, (lhs, rhs) in enumerate(bt.target.equations):
         labelled.append((f"target equation {i}", lhs - rhs))
-    parts = ((label, restrict_to_manifold(r, source, extra=bt.relations))
-             for label, r in labelled)
-    return check_parts(parts, constraints, seed, tol_abs, tol_rel)
+    return constraints, [
+        (label, restrict_to_manifold(r, source, extra=bt.relations))
+        for label, r in labelled]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +472,7 @@ def check_overdetermined(spec: OverdeterminedSpec, js: JetSpace, seed: int = 0,
     point).  A condition with fewer than ``spec.n`` tested points, or
     none, is inconclusive.  The elimination is made once per jet space
     and kept on the spec."""
-    pair = kept_build(spec._builds, js,
+    pair = kept_build(spec._builds, (js,),
                       lambda: _pair_build(spec.assignments, js))
     if not pair.leftovers:
         return combine([("compatibility", Result(ZERO_VERDICT))], seed,

@@ -119,6 +119,19 @@ def combine(labelled, seed: int, tol_abs: float, tol_rel: float) -> Result:
                   seed=seed, tol_abs=tol_abs, tol_rel=tol_rel, parts=parts)
 
 
+def kept_build(builds: dict, key: tuple, make):
+    """``make()`` for the objects of ``key``, made on the first call and
+    kept in ``builds``, an entry's ``{ids of key: (key, build)}``.  The
+    entry holds the objects, so their identities are not reused while
+    the build is kept.  A ``make`` that raises keeps nothing, and a
+    ``dataclasses.replace`` copy of the entry starts with no builds."""
+    ident = tuple(map(id, key))
+    hit = builds.get(ident)
+    if hit is None:
+        hit = builds[ident] = (key, make())
+    return hit[1]
+
+
 def _random_opaque(rng: random.Random) -> OpaqueInstance:
     coeffs = [rng.uniform(-1.5, 1.5) for _ in range(5)]
     return OpaqueInstance.from_polynomial(coeffs)

@@ -95,13 +95,16 @@ def test_bracketed_scalar_solves_repeat_the_old_solver(e, c, guess, lo,
 
 
 def test_scalar_paths_are_exercised():
-    # Newton, the bisection fallback, the midpoint restart and a stall
-    # without a bracket, each against the old solver
+    # Newton, the bisection fallback, the midpoint restart, a stall
+    # without a bracket, and a bracket that only a sign-changing step
+    # records (no bracket is given for sqrt(x) - 1 from 4.0), each
+    # against the old solver
     _scalar_case(X - func("cos", X), 0.5, None)
     _scalar_case(func("arctan", Num(50) * (X - Num(2))), 0.0,
                  (-10.0, 10.0))
     _scalar_case(func("ln", X) - Num(1), -1.0, (0.5, 5.0))
     _scalar_case(pow_(X, Num(2)) + Num(1), 0.0, None)
+    _scalar_case(pow_(X, rational(1, 2)) - Num(1), 4.0, None)
 
 
 @st.composite
