@@ -502,6 +502,33 @@ def rebuild(e: Expr, kids: Iterable[Expr]) -> Expr:
     return e
 
 
+def fold(e: Expr, combine: Callable, memo: dict):
+    """Store ``combine(node, [memo[k] for k in children(node)])`` in
+    ``memo`` for every unique node of ``e`` and return the root's.  Nodes
+    are visited in the order a recursive left-to-right walk first
+    finishes them, off an explicit stack; a node already in ``memo`` (a
+    caller may seed it) is not walked."""
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if n is None:  # the children of the node under the marker are done
+            n = stack.pop()
+            memo[n] = combine(n, [memo[k] for k in children(n)])
+        elif n not in memo:
+            kids = children(n)
+            if kids:
+                stack += (n, None)
+                stack.extend(reversed(kids))
+            else:
+                memo[n] = combine(n, [])
+    return memo[e]
+
+
+def rewrite(e: Expr, post: Callable[[Expr], Expr]) -> Expr:
+    """``e`` rebuilt bottom-up, ``post`` applied to every rebuilt node."""
+    return fold(e, lambda n, kids: post(rebuild(n, kids)), {})
+
+
 def subexpressions(e: Expr):
     """Every node of ``e``, a subtree shared by several parents once.
     Nodes are told apart by identity, so the walk hashes nothing."""
@@ -539,35 +566,32 @@ def simplify(e: Expr) -> Expr:
     Construction already normalizes, so this is idempotent by design;
     it exists as the explicit entry point for externally built trees.
     """
-    kids = children(e)
-    if not kids:
-        return e
-    return rebuild(e, (simplify(k) for k in kids))
+    return fold(e, rebuild, {})
 
 
 def expand(e: Expr) -> Expr:
     """Distribute products over sums and expand positive integer powers
     of sums.  Used by the reduction spliter; not part of normalization."""
-    kids = children(e)
-    if kids:
-        e = rebuild(e, (expand(k) for k in kids))
-    if isinstance(e, Pow) and isinstance(e.exp, Num) and \
-            e.exp.value.denominator == 1 and e.exp.value > 1 and \
-            isinstance(e.base, Add):
-        out = ONE
-        for _ in range(int(e.exp.value)):
-            # term by term: mul(out, base) folds back into a power of base
-            terms = out.terms if isinstance(out, Add) else (out,)
-            out = add(*(expand(mul(t, b)) for t in terms for b in e.base.terms))
-        return out
-    if isinstance(e, Mul):
-        sums = [f for f in e.factors if isinstance(f, Add)]
-        if sums:
-            first = sums[0]
-            rest = list(e.factors)
-            rest.remove(first)
-            return expand(add(*(mul(t, *rest) for t in first.terms)))
-    return e
+    def post(x: Expr) -> Expr:
+        if isinstance(x, Pow) and isinstance(x.exp, Num) and \
+                x.exp.value.denominator == 1 and x.exp.value > 1 and \
+                isinstance(x.base, Add):
+            out = ONE
+            for _ in range(int(x.exp.value)):
+                # term by term: mul(out, base) folds back into a power of base
+                terms = out.terms if isinstance(out, Add) else (out,)
+                out = add(*(expand(mul(t, b)) for t in terms for b in x.base.terms))
+            return out
+        if isinstance(x, Mul):
+            sums = [f for f in x.factors if isinstance(f, Add)]
+            if sums:
+                first = sums[0]
+                rest = list(x.factors)
+                rest.remove(first)
+                return expand(add(*(mul(t, *rest) for t in first.terms)))
+        return x
+
+    return rewrite(e, post)
 
 
 _DIFF_TABLE: dict = {}
@@ -654,19 +678,7 @@ def substitute(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
     memoised, keyed by node, for the length of one call, so a subtree
     shared within ``e`` is rebuilt once.
     """
-    return _subst(e, dict(rules)) if rules else e
-
-
-def _subst(e: Expr, memo: dict) -> Expr:
-    """``memo`` starts as the rules and gains each rebuilt node."""
-    out = memo.get(e)
-    if out is not None:
-        return out
-    kids = children(e)
-    if not kids:
-        return e
-    out = memo[e] = rebuild(e, (_subst(k, memo) for k in kids))
-    return out
+    return fold(e, rebuild, dict(rules)) if rules else e
 
 
 # ---------------------------------------------------------------------------
@@ -849,26 +861,15 @@ def _compile(e: Expr):
     operands, in the order a recursive left-to-right walk first finishes
     them.  Returns the entries for every node that is not a constant,
     and the initial slot values with the constants filled in."""
-    slots: dict = {}
     consts: list = []
     ops: list = []
-    stack = [e]
-    while stack:
-        n = stack[-1]
-        if n in slots:
-            stack.pop()
-            continue
-        pending = [k for k in children(n) if k not in slots]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        stack.pop()
-        i = slots[n] = len(consts)
+
+    def slot(n: Expr, kids: list) -> int:
+        i = len(consts)
         consts.append(0.0)
         if isinstance(n, Num):
             try:
                 consts[i] = float(n.value)
-                continue
             except OverflowError:
                 ops.append((_NUM, i, n.value, None, None))
         elif isinstance(n, (Var, Jet)):
@@ -876,23 +877,25 @@ def _compile(e: Expr):
         elif isinstance(n, Param):
             ops.append((_PARAM, i, n, None, None))
         elif isinstance(n, (Add, Mul)):
-            getter = _getter(tuple(slots[k] for k in children(n)))
-            ops.append((_ADD if isinstance(n, Add) else _MUL, i, getter,
-                        None, None))
+            ops.append((_ADD if isinstance(n, Add) else _MUL, i,
+                        _getter(tuple(kids)), None, None))
         elif isinstance(n, Pow):
             k = None
             if isinstance(n.exp, Num) and n.exp.value.denominator == 1:
                 k = int(n.exp.value)
-            ops.append((_POW, i, slots[n.base], slots[n.exp], k))
+            ops.append((_POW, i, kids[0], kids[1], k))
         elif isinstance(n, Func):
             if n.name == "ln":
-                ops.append((_LN, i, slots[n.arg], None, None))
+                ops.append((_LN, i, kids[0], None, None))
             else:
-                ops.append((_FUNC, i, slots[n.arg], n.name, None))
+                ops.append((_FUNC, i, kids[0], n.name, None))
         elif isinstance(n, Opaque):
-            ops.append((_OPAQUE, i, slots[n.arg], n.name, n.order))
+            ops.append((_OPAQUE, i, kids[0], n.name, n.order))
         else:
             raise TypeError(type(n))
+        return i
+
+    fold(e, slot, {})
     return tuple(ops), tuple(consts)
 
 

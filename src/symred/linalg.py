@@ -9,10 +9,12 @@ constraints downstream.
 
 from __future__ import annotations
 
-from .expr import Expr, Num, ZERO, add, diff_partial, mul, pow_, substitute
+from .expr import (
+    Expr, ExprError, Num, ZERO, add, diff_partial, mul, pow_, substitute,
+)
 
 
-class SingularImplicitSystem(Exception):
+class SingularImplicitSystem(ExprError):
     pass
 
 

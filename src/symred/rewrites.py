@@ -10,26 +10,26 @@ symbols can be separated out (used by the reduction deriver).
 from __future__ import annotations
 
 from .expr import (
-    Add, Expr, Func, Mul, Num, ONE, Pow, ZERO, add, atoms, children,
-    func, mul, pow_, rebuild,
+    Add, Expr, Func, Mul, Num, ONE, Pow, ZERO, add, atoms, func, mul, pow_,
+    rewrite,
 )
 
 
 def assume_positive(e: Expr) -> Expr:
     """ln(a*b) -> ln a + ln b and ln(a^r) -> r*ln a, valid when all the
     pieces are positive.  Applied bottom-up to a fixed point."""
-    kids = children(e)
-    if kids:
-        e = rebuild(e, (assume_positive(k) for k in kids))
-    if isinstance(e, Func) and e.name == "ln":
-        a = e.arg
-        if isinstance(a, Mul):
-            return add(*(assume_positive(func("ln", f)) for f in a.factors))
-        if isinstance(a, Pow):
-            return mul(a.exp, assume_positive(func("ln", a.base)))
-        if isinstance(a, Num) and a.value == 1:
-            return ZERO
-    return e
+    def post(x: Expr) -> Expr:
+        if isinstance(x, Func) and x.name == "ln":
+            a = x.arg
+            if isinstance(a, Mul):
+                return add(*(assume_positive(func("ln", f)) for f in a.factors))
+            if isinstance(a, Pow):
+                return mul(a.exp, assume_positive(func("ln", a.base)))
+            if isinstance(a, Num) and a.value == 1:
+                return ZERO
+        return x
+
+    return rewrite(e, post)
 
 
 def _pythagorean_square(base: Expr):
@@ -51,16 +51,16 @@ def _pythagorean_square(base: Expr):
 def sqrt_pythagoras(e: Expr, nonneg=()) -> Expr:
     """Rewrite sqrt(1 - sin^2 t) to cos t (and the cos/sin twin) when the
     replacement is in the asserted-nonnegative list."""
-    kids = children(e)
-    if kids:
-        e = rebuild(e, (sqrt_pythagoras(k, nonneg) for k in kids))
-    if isinstance(e, Pow) and isinstance(e.exp, Num) and e.exp.value.denominator == 2:
-        sq = _pythagorean_square(e.base)
-        if sq is not None:
-            root = sq.base  # cos t or sin t
-            if root in nonneg:
-                return pow_(root, mul(Num(2), e.exp))
-    return e
+    def post(x: Expr) -> Expr:
+        if isinstance(x, Pow) and isinstance(x.exp, Num) and x.exp.value.denominator == 2:
+            sq = _pythagorean_square(x.base)
+            if sq is not None:
+                root = sq.base  # cos t or sin t
+                if root in nonneg:
+                    return pow_(root, mul(Num(2), x.exp))
+        return x
+
+    return rewrite(e, post)
 
 
 def touches(e: Expr, symbols) -> bool:
@@ -80,20 +80,21 @@ def expand_trig(e: Expr, symbols) -> Expr:
     """Expand sin/cos/exp whose argument mixes the given symbols with
     anything else, so the two groups can be separated."""
     symbols = set(symbols)
-    kids = children(e)
-    if kids:
-        e = rebuild(e, (expand_trig(k, symbols) for k in kids))
-    if isinstance(e, Func) and e.name in ("sin", "cos", "exp"):
-        hot, cold = _split_sum(e.arg, symbols)
-        if hot != ZERO and cold != ZERO:
-            if e.name == "exp":
-                return mul(Func("exp", hot), Func("exp", cold))
-            s_h, c_h = func("sin", hot), func("cos", hot)
-            s_c, c_c = func("sin", cold), func("cos", cold)
-            if e.name == "sin":
-                return add(mul(s_h, c_c), mul(c_h, s_c))
-            return add(mul(c_h, c_c), mul(Num(-1), s_h, s_c))
-    return e
+
+    def post(x: Expr) -> Expr:
+        if isinstance(x, Func) and x.name in ("sin", "cos", "exp"):
+            hot, cold = _split_sum(x.arg, symbols)
+            if hot != ZERO and cold != ZERO:
+                if x.name == "exp":
+                    return mul(Func("exp", hot), Func("exp", cold))
+                s_h, c_h = func("sin", hot), func("cos", hot)
+                s_c, c_c = func("sin", cold), func("cos", cold)
+                if x.name == "sin":
+                    return add(mul(s_h, c_c), mul(c_h, s_c))
+                return add(mul(c_h, c_c), mul(Num(-1), s_h, s_c))
+        return x
+
+    return rewrite(e, post)
 
 
 def reduce_even_cosines(e: Expr, symbols) -> Expr:
@@ -102,10 +103,7 @@ def reduce_even_cosines(e: Expr, symbols) -> Expr:
     {sin t, cos t} to cos-degree <= 1 before coefficient splitting."""
     symbols = set(symbols)
 
-    def step(x: Expr) -> Expr:
-        kids = children(x)
-        if kids:
-            x = rebuild(x, (step(k) for k in kids))
+    def post(x: Expr) -> Expr:
         if isinstance(x, Pow) and isinstance(x.exp, Num) and \
                 x.exp.value.denominator == 1 and x.exp.value >= 2 and \
                 isinstance(x.base, Func) and x.base.name == "cos" and \
@@ -118,7 +116,7 @@ def reduce_even_cosines(e: Expr, symbols) -> Expr:
         return x
 
     for _ in range(8):
-        nxt = step(e)
+        nxt = rewrite(e, post)
         if nxt == e:
             return e
         e = nxt

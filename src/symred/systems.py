@@ -42,9 +42,6 @@ class EquationSystem:
                    for a in atoms(rhs, Jet)]
         return max(orders, default=0)
 
-    def residual_exprs(self):
-        return [lhs - rhs for lhs, rhs in self.equations]
-
 
 def _divides(lead: Jet, jet: Jet) -> bool:
     if lead.dep != jet.dep:

@@ -6,6 +6,13 @@ arithmetic on unit coefficients in ``add`` and ``mul``.  They walk every
 node of the tree, shared subtrees as often as they occur, and are kept
 only as the reference that the fast paths are tested against.
 
+``simplify``, ``expand``, ``assume_positive``, ``sqrt_pythagoras``,
+``expand_trig`` and ``reduce_even_cosines`` are the recursive walkers of
+``symred.expr`` and ``symred.rewrites`` before every rebuilding walk
+went through the one memoised postorder walk ``symred.expr.fold``.  They
+rewrite a shared subtree once per occurrence and recurse once per tree
+level; their matches build through the ``add`` and ``mul`` above.
+
 ``_CanonicalApplier`` and ``apply_canonical`` are the canonical-operator
 path of ``symred.jets.apply_operator`` before a canonical operator was
 applied as its prolonged evolutionary field: each coefficient D_J U is
@@ -21,6 +28,7 @@ from symred.expr import (
     _split_power, children, func, pow_, rebuild,
 )
 from symred.jets import CanonicalOperator, JetSpace, total_derivative_multi
+from symred.rewrites import _pythagorean_square, _split_sum, touches
 
 
 def sort_key(e):
@@ -231,6 +239,124 @@ def subexpressions(e):
         n = stack.pop()
         yield n
         stack.extend(children(n))
+
+
+def simplify(e: Expr) -> Expr:
+    """Rebuild bottom-up through the normalizing constructors.
+
+    Construction already normalizes, so this is idempotent by design;
+    it exists as the explicit entry point for externally built trees.
+    """
+    kids = children(e)
+    if not kids:
+        return e
+    return rebuild(e, (simplify(k) for k in kids))
+
+
+def expand(e: Expr) -> Expr:
+    """Distribute products over sums and expand positive integer powers
+    of sums.  Used by the reduction spliter; not part of normalization."""
+    kids = children(e)
+    if kids:
+        e = rebuild(e, (expand(k) for k in kids))
+    if isinstance(e, Pow) and isinstance(e.exp, Num) and \
+            e.exp.value.denominator == 1 and e.exp.value > 1 and \
+            isinstance(e.base, Add):
+        out = ONE
+        for _ in range(int(e.exp.value)):
+            # term by term: mul(out, base) folds back into a power of base
+            terms = out.terms if isinstance(out, Add) else (out,)
+            out = add(*(expand(mul(t, b)) for t in terms for b in e.base.terms))
+        return out
+    if isinstance(e, Mul):
+        sums = [f for f in e.factors if isinstance(f, Add)]
+        if sums:
+            first = sums[0]
+            rest = list(e.factors)
+            rest.remove(first)
+            return expand(add(*(mul(t, *rest) for t in first.terms)))
+    return e
+
+
+def assume_positive(e: Expr) -> Expr:
+    """ln(a*b) -> ln a + ln b and ln(a^r) -> r*ln a, valid when all the
+    pieces are positive.  Applied bottom-up to a fixed point."""
+    kids = children(e)
+    if kids:
+        e = rebuild(e, (assume_positive(k) for k in kids))
+    if isinstance(e, Func) and e.name == "ln":
+        a = e.arg
+        if isinstance(a, Mul):
+            return add(*(assume_positive(func("ln", f)) for f in a.factors))
+        if isinstance(a, Pow):
+            return mul(a.exp, assume_positive(func("ln", a.base)))
+        if isinstance(a, Num) and a.value == 1:
+            return ZERO
+    return e
+
+
+def sqrt_pythagoras(e: Expr, nonneg=()) -> Expr:
+    """Rewrite sqrt(1 - sin^2 t) to cos t (and the cos/sin twin) when the
+    replacement is in the asserted-nonnegative list."""
+    kids = children(e)
+    if kids:
+        e = rebuild(e, (sqrt_pythagoras(k, nonneg) for k in kids))
+    if isinstance(e, Pow) and isinstance(e.exp, Num) and e.exp.value.denominator == 2:
+        sq = _pythagorean_square(e.base)
+        if sq is not None:
+            root = sq.base  # cos t or sin t
+            if root in nonneg:
+                return pow_(root, mul(Num(2), e.exp))
+    return e
+
+
+def expand_trig(e: Expr, symbols) -> Expr:
+    """Expand sin/cos/exp whose argument mixes the given symbols with
+    anything else, so the two groups can be separated."""
+    symbols = set(symbols)
+    kids = children(e)
+    if kids:
+        e = rebuild(e, (expand_trig(k, symbols) for k in kids))
+    if isinstance(e, Func) and e.name in ("sin", "cos", "exp"):
+        hot, cold = _split_sum(e.arg, symbols)
+        if hot != ZERO and cold != ZERO:
+            if e.name == "exp":
+                return mul(Func("exp", hot), Func("exp", cold))
+            s_h, c_h = func("sin", hot), func("cos", hot)
+            s_c, c_c = func("sin", cold), func("cos", cold)
+            if e.name == "sin":
+                return add(mul(s_h, c_c), mul(c_h, s_c))
+            return add(mul(c_h, c_c), mul(Num(-1), s_h, s_c))
+    return e
+
+
+def reduce_even_cosines(e: Expr, symbols) -> Expr:
+    """Replace cos(t)^2 by 1 - sin(t)^2 whenever t touches the given
+    symbols, to a fixed point.  Normalizes the polynomial ring in
+    {sin t, cos t} to cos-degree <= 1 before coefficient splitting."""
+    symbols = set(symbols)
+
+    def step(x: Expr) -> Expr:
+        kids = children(x)
+        if kids:
+            x = rebuild(x, (step(k) for k in kids))
+        if isinstance(x, Pow) and isinstance(x.exp, Num) and \
+                x.exp.value.denominator == 1 and x.exp.value >= 2 and \
+                isinstance(x.base, Func) and x.base.name == "cos" and \
+                touches(x.base.arg, symbols):
+            n = int(x.exp.value)
+            rest = pow_(x.base, Num(n % 2))
+            squares = pow_(add(ONE, mul(Num(-1), pow_(func("sin", x.base.arg), 2))),
+                           Num(n // 2))
+            return mul(rest, squares)
+        return x
+
+    for _ in range(8):
+        nxt = step(e)
+        if nxt == e:
+            return e
+        e = nxt
+    return e
 
 
 class _CanonicalApplier:

@@ -410,3 +410,29 @@ def test_grid_without_a_range_per_variable_is_an_error_row(capsys, tmp_path,
     assert rows["b:gridded"]["verdict"] == "error"
     assert rows["b:drawn"]["verdict"] == "fail"
     assert rows["b:drawn"]["ok"] is True
+
+
+def test_singular_invariant_chain_is_an_error_row_and_the_rest_runs(
+        capsys, tmp_path):
+    # u = w with w = u: the chain system for w's derivatives is singular
+    bundle = tmp_path / "b.prob"
+    bundle.write_text("[space]\nindependent x t\ndependent u(x,t)\n\n"
+                      "[equation heat]\nu[t] = u[x,x]\n\n"
+                      "[ansatz loop]\nu = w\nwhere w = u\nunknown phi(w)\n"
+                      "original heat\ncandidate tw\n\n"
+                      "[ansatz travel]\nu = phi\nwhere z = x - t\n"
+                      "unknown phi(z)\noriginal heat\ncandidate tw\n\n"
+                      "[reduced tw]\nunknown phi(z)\nphi[z,z] = -phi[z]\n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, "reduce", str(bundle), "--ansatz", "loop",
+                         "--candidate", "tw", "--format", "json-lines")
+    assert code == 4
+    row = json.loads(out)
+    assert row["verdict"] == "error"
+    assert row["detail"] == \
+        "SingularImplicitSystem: cannot solve for [_D_w_x]"
+    assert "Traceback" not in err
+    # the entry after it still runs
+    rows = {row["case"]: row for row in run_suite(load_problem(bundle), 0)}
+    assert rows["b:loop->tw"]["verdict"] == "error"
+    assert rows["b:travel->tw"]["verdict"] == "pass"

@@ -3,11 +3,14 @@ the tape evaluator, the sort key each node stores on itself,
 ``diff_partial``/``substitute`` memoised over shared subtrees (for one
 call, or for the life of a prolonged field), ``add``/``mul`` without
 Fraction arithmetic on unit coefficients, the walks that visit a
-shared subtree once, and a canonical operator applied as its prolonged
-evolutionary field.  Also the hash each node stores on itself."""
+shared subtree once, the rewrites on the one memoised postorder walk
+(also on trees deeper than the recursion limit), and a canonical
+operator applied as its prolonged evolutionary field.  Also the hash
+each node stores on itself."""
 
 import math
 import pickle
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
@@ -19,13 +22,17 @@ from symred.expr import (
     _UNIT, ZERO, Add, DomainFault, Func, Jet, Mul, Num, Opaque,
     OpaqueInstance, Param, ParameterBinding, Pow, Var, _split_coeff, add,
     atoms, contains, diff_partial, eval_numeric, eval_with_scale, func, mul,
-    opaque, opaque_names, pow_, sort_key, subexpressions, substitute,
+    expand, opaque, opaque_names, pow_, simplify, sort_key, subexpressions,
+    substitute,
 )
 from symred.jets import (
     CanonicalOperator, JetSpace, VectorField, apply_operator, prolong,
     total_derivative,
 )
 from symred.parser import print_expression
+from symred.rewrites import (
+    assume_positive, expand_trig, reduce_even_cosines, sqrt_pythagoras,
+)
 from symred.zerotest import is_zero
 
 import reference_eval
@@ -312,6 +319,98 @@ def test_walks_visit_a_shared_subtree_once():
     found = (atoms(e), opaque_names(e), contains(e, X1), contains(e, X2))
     assert visited == 42
     assert found == ({X1}, set(), True, False)
+    # every rebuilding walk folds the sum to 2**40 sin(x1)
+    want = mul(Num(2 ** 40), func("sin", X1))
+    folded = [simplify(e), expand(e), assume_positive(e),
+              sqrt_pythagoras(e, (func("cos", X1),)), expand_trig(e, {X1}),
+              reduce_even_cosines(e, {X1})]
+    assert [f == want for f in folded] == [True] * 6
+    assert substitute(e, {X1: X2}) == mul(Num(2 ** 40), func("sin", X2))
+
+
+def _chain(depth, step):
+    """``step`` applied ``depth`` times to x1, each through the
+    constructors."""
+    e = X1
+    for _ in range(depth):
+        e = step(e)
+    return e
+
+
+def _spine(e):
+    """The classes down the last child of every node, and the leaf at
+    the end, found without recursion."""
+    names = []
+    while expr.children(e):
+        names.append(type(e).__name__)
+        e = expr.children(e)[-1]
+    return names, e
+
+
+def test_walks_take_a_chain_deeper_than_the_recursion_limit():
+    # sin(... sin(x1 + 1) ... + 1): every walk is a loop, so depth costs
+    # no stack frames.  The results are compared without ==, which
+    # recurses.
+    e = _chain(1200, lambda x: func("sin", add(x, 1)))
+    names, leaf = _spine(e)
+    assert names.count("Func") == 1200 and leaf == X1
+    for walk in (simplify, expand, assume_positive,
+                 lambda x: sqrt_pythagoras(x, (func("cos", X1),))):
+        assert _spine(walk(e)) == (names, X1)
+    assert _spine(substitute(e, {X1: X2})) == (names, X2)
+
+
+def test_expand_trig_takes_a_deep_chain():
+    e = _chain(300, lambda x: pow_(func("cos", add(x, 1)), 2))
+    out = expand_trig(e, {X1})
+    # the outermost cos(t + 1) splits into cos t cos 1 - sin t sin 1
+    assert isinstance(out, Pow) and isinstance(out.base, Add)
+    assert atoms(out) == {X1}
+
+
+def _probe(t, theta):
+    """A tree around ``t`` in which every rewrite finds a match; ``t``
+    keeps its raw nodes.  Its root collapses under cos(theta) >= 0."""
+    s = add(t, X1)
+    return add(t, func("sin", s), pow_(func("cos", s), 3), func("exp", s),
+               func("ln", mul(t, X1, pow_(C, 2))),
+               mul(pow_(add(t, X2), 2), add(t, C)),
+               pow_(add(1, mul(-1, pow_(func("sin", theta), 2))),
+                    Num(Fraction(1, 2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes(), st.lists(st.sampled_from((X2, U, UX, C)), unique=True,
+                           max_size=2))
+def test_rewrites_match_recursive_reference(recipe, others):
+    # on the tree as built (raw and normalised nodes), on its normalised
+    # form, and on a probe around each that every rewrite changes
+    symbols = [X1] + others
+    e = build(recipe)
+    trees, nonneg = [e], ()
+    normal = _result(reference_kernel.simplify, e)
+    if not isinstance(normal, type):
+        nonneg = (func("cos", normal),)
+        trees += [normal] + [p for p in (_result(_probe, e, normal),
+                                          _result(_probe, normal, normal))
+                             if not isinstance(p, type)]
+    walks = ((simplify, reference_kernel.simplify, ()),
+             (expand, reference_kernel.expand, ()),
+             (assume_positive, reference_kernel.assume_positive, ()),
+             (sqrt_pythagoras, reference_kernel.sqrt_pythagoras, (nonneg,)),
+             (expand_trig, reference_kernel.expand_trig, (symbols,)),
+             (reduce_even_cosines, reference_kernel.reduce_even_cosines,
+              (symbols,)))
+    # expanding the probe raises 10**400 to powers whose digits exceed
+    # the int-to-str limit, so the printed forms are compared without it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for e in trees:
+            for fast, ref, args in walks:
+                _same_node(_result(fast, e, *args), _result(ref, e, *args))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _same_node(got, want):

@@ -1,6 +1,6 @@
 """Repository hygiene: no unused imports, no imports of another module's
-private names and no unread module-level definitions in the library, and
-the library runs without numpy."""
+private names and no unread module-level definitions in the library, one
+walk that rebuilds trees, and the library runs without numpy."""
 
 import ast
 import os
@@ -127,6 +127,44 @@ def test_unread_definition_scan_sees_an_unread_name(tmp_path):
     user.write_text("from mod import g, K\nimport mod\nmod.f()\nprint(C)\n")
     assert _unread_definitions([mod], [mod, user]) == \
         ["mod.py:2 B", "mod.py:6 g", "mod.py:8 K"]
+
+
+def _rebuild_callers(path: Path) -> list:
+    """(file, line, module-level definition) of every call of
+    ``rebuild``; a call in a nested function or lambda counts for the
+    definition around it, one outside any for ``<module>``."""
+    out = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        name = getattr(top, "name", "<module>")
+        for n in ast.walk(top):
+            if isinstance(n, ast.Call) and "rebuild" in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None)):
+                out.append((path.name, n.lineno, name))
+    return out
+
+
+def test_only_the_walk_driver_calls_rebuild():
+    # every rebuilding walk is expr.rewrite (or fold with rebuild as its
+    # combine), so trees are rebuilt by one memoised postorder walk
+    callers = {(f, name) for path in sorted(SRC.glob("*.py"))
+               for f, _, name in _rebuild_callers(path)}
+    assert callers == {("expr.py", "rewrite")}
+
+
+def test_rebuild_scan_sees_a_call(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from .expr import rebuild, fold\n"
+                   "from . import expr\n"
+                   "def walk(e):\n"
+                   "    return fold(e, lambda n, k: rebuild(n, k), {})\n"
+                   "class K:\n"
+                   "    def m(self, e):\n"
+                   "        return expr.rebuild(e, ())\n"
+                   "def ok(e):\n"
+                   "    return fold(e, rebuild, {})\n"
+                   "rebuild(None, ())\n")
+    assert _rebuild_callers(mod) == \
+        [("mod.py", 4, "walk"), ("mod.py", 7, "K"), ("mod.py", 10, "<module>")]
 
 
 def test_paper_suite_runs_without_numpy():

@@ -68,5 +68,5 @@ def test_restrict_with_extra_rules():
 
 def test_residual_exprs_vanish_on_manifold():
     s = ode()
-    for r in s.residual_exprs():
-        assert is_zero(restrict_to_manifold(r, s)).is_zero
+    for lhs, rhs in s.equations:
+        assert is_zero(restrict_to_manifold(lhs - rhs, s)).is_zero
