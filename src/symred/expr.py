@@ -163,9 +163,9 @@ class Jet(Expr):
     def order(self) -> int:
         return sum(c for _, c in self.index)
 
-    def lift(self, var: str, by: int = 1) -> "Jet":
+    def lift(self, var: str) -> "Jet":
         d = dict(self.index)
-        d[var] = d.get(var, 0) + by
+        d[var] = d.get(var, 0) + 1
         return Jet(self.dep, tuple(d.items()))
 
 
@@ -700,8 +700,8 @@ class OpaqueInstance:
         return self.derivs[order](x)
 
     @classmethod
-    def constant(cls, c: float, depth: int = 6) -> "OpaqueInstance":
-        fns = [lambda x, c=c: c] + [(lambda x: 0.0) for _ in range(depth)]
+    def constant(cls, c: float) -> "OpaqueInstance":
+        fns = [lambda x, c=c: c] + [(lambda x: 0.0) for _ in range(6)]
         return cls(*fns)
 
     @classmethod
@@ -714,12 +714,6 @@ class OpaqueInstance:
             cur = [i * c for i, c in enumerate(cur)][1:] or [0.0]
         return cls(*fns)
 
-    @classmethod
-    def sin(cls) -> "OpaqueInstance":
-        return cls(math.sin, math.cos,
-                   lambda x: -math.sin(x), lambda x: -math.cos(x),
-                   math.sin, math.cos)
-
 
 class ParameterBinding:
     """Numeric values for parameters plus concrete instances for opaque
@@ -730,12 +724,10 @@ class ParameterBinding:
         self.params = dict(params or {})
         self.functions = dict(functions or {})
 
-    def extended(self, params=None, functions=None) -> "ParameterBinding":
-        p = dict(self.params)
-        p.update(params or {})
+    def extended(self, functions) -> "ParameterBinding":
         f = dict(self.functions)
-        f.update(functions or {})
-        return ParameterBinding(p, f)
+        f.update(functions)
+        return ParameterBinding(self.params, f)
 
 
 _MATH_TABLE = {

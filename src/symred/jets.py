@@ -127,9 +127,6 @@ class VectorField:
     def __sub__(self, other: "VectorField") -> "VectorField":
         return self + other.scaled(Num(-1))
 
-    def __rmul__(self, c) -> "VectorField":
-        return self.scaled(c)
-
 
 @dataclass(frozen=True)
 class CanonicalOperator:
@@ -199,17 +196,12 @@ def prolong(vf: VectorField, order: int, js: JetSpace) -> ProlongedField:
     return ProlongedField(vf, order, js)
 
 
-def apply_operator(pf, e: Expr, js: JetSpace | None = None) -> Expr:
+def apply_operator(pf: ProlongedField, e: Expr) -> Expr:
     """Lie derivative of ``e`` along a prolonged point field.  A
-    canonical operator U d/du stands for its evolutionary field, the
-    point field with xi = 0 and eta = U, prolonged on ``js`` to the
-    order of ``e`` (at least 1): its coefficients are D_J U (Olver,
-    Applications of Lie Groups to Differential Equations, Sec. 5.1)."""
-    if isinstance(pf, CanonicalOperator):
-        if js is None:
-            raise ValueError("canonical operators need an explicit jet space")
-        order = max((a.order for a in atoms(e, Jet)), default=0)
-        pf = prolong(pf.field(), max(order, 1), js)
+    canonical operator U d/du is applied as its evolutionary field,
+    ``prolong(op.field(), order, js)``: its coefficients are D_J U
+    (Olver, Applications of Lie Groups to Differential Equations,
+    Sec. 5.1)."""
     if not isinstance(pf, ProlongedField):
         raise TypeError(type(pf))
     hosted = [a for a in atoms(e, Jet) if a.dep in pf.js.dependents]

@@ -28,8 +28,8 @@ from .expr import (
 )
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
-    FAIL, INCONCLUSIVE, PASS, Constraint, Result, kept_build, sample_point,
-    within_tol,
+    FAIL, INCONCLUSIVE, PASS, RETRY_BUDGET, Constraint, Result, kept_build,
+    sample_point, within_tol,
 )
 
 # pass thresholds on the largest |residual| when a solution names none
@@ -91,19 +91,10 @@ MAX_INTERVALS = 2 ** 14
 INSTANCE_TOL = 1e-12
 
 
-def quadrature(integrand, var=None, a: float = 0.0, b: float = 1.0,
-               binding: ParameterBinding | None = None,
+def quadrature(integrand, a: float = 0.0, b: float = 1.0,
                tol_abs: float = 1e-10):
-    """Adaptive Gauss-Kronrod integration of an Expr (in ``var``) or a
-    plain callable over [a, b].  Returns (value, error estimate)."""
-    if callable(integrand) and not isinstance(integrand, Expr):
-        f = integrand
-    else:
-        v = Var(var) if isinstance(var, str) else var
-
-        def f(x, _e=integrand, _v=v, _b=binding):
-            return eval_numeric(_e, {_v: x}, _b)
-
+    """Adaptive Gauss-Kronrod integration of the callable ``integrand``
+    over [a, b].  Returns (value, error estimate)."""
     if a == b:
         return 0.0, 0.0
     sign = 1.0
@@ -115,7 +106,7 @@ def quadrature(integrand, var=None, a: float = 0.0, b: float = 1.0,
     used = 0
     while stack:
         lo, hi = stack.pop()
-        val, err = _gk15(f, lo, hi)
+        val, err = _gk15(integrand, lo, hi)
         if err <= tol_abs * (hi - lo) / (b - a) or used >= MAX_INTERVALS:
             total += val
             total_err += err
@@ -295,10 +286,6 @@ def solve_implicit(res: Expr, unknown, point, binding: ParameterBinding | None =
 # ---------------------------------------------------------------------------
 # solutions and their residuals
 
-# seeded draws a random sample plan may spend, rejected draws included
-RETRY_BUDGET = 1024
-
-
 @dataclass
 class SolutionSpec:
     """A closed-form solution and how to validate it numerically: the
@@ -342,12 +329,8 @@ class SolutionSpec:
         in its integrand, not itself."""
         functions = {}
         for fname, spec in self.fn_binds.items():
-            if spec[0] == "sin":
-                functions[fname] = OpaqueInstance.sin()
-            elif spec[0] == "cos":
-                functions[fname] = _cos_instance()
-            elif spec[0] == "exp":
-                functions[fname] = OpaqueInstance(*([math.exp] * 8))
+            if spec[0] in _DERIVATIVES:
+                functions[fname] = OpaqueInstance(*_DERIVATIVES[spec[0]])
             elif spec[0] == "const":
                 functions[fname] = OpaqueInstance.constant(spec[1])
             else:
@@ -363,11 +346,12 @@ class SolutionSpec:
         return bound.extended(functions=quadratures)
 
 
-def _cos_instance() -> OpaqueInstance:
-    return OpaqueInstance(math.cos, lambda x: -math.sin(x),
-                          lambda x: -math.cos(x), math.sin,
-                          math.cos, lambda x: -math.sin(x),
-                          lambda x: -math.cos(x), math.sin)
+# the first 8 derivatives of each bindable builtin, by their cycles
+_DERIVATIVES = {"sin": (math.sin, math.cos, lambda x: -math.sin(x),
+                        lambda x: -math.cos(x)) * 2,
+                "cos": (math.cos, lambda x: -math.sin(x),
+                        lambda x: -math.cos(x), math.sin) * 2,
+                "exp": (math.exp,) * 8}
 
 
 def _relations(spec: SolutionSpec, eq: EquationSystem) -> list:

@@ -281,10 +281,21 @@ def parse_equation(text: str, ctx: SymbolContext, line: int = 1):
 # ---------------------------------------------------------------------------
 # printer
 
+def _p_int(n: int) -> str:
+    """``str(n)`` for any integer the kernel folds: in chunks of 4000
+    digits past Python's int-to-str limit (4300 digits by default)."""
+    if n < 0:
+        return "-" + _p_int(-n)
+    if n.bit_length() <= 14000:  # at most 4215 digits
+        return str(n)
+    hi, lo = divmod(n, 10 ** 4000)
+    return _p_int(hi) + str(lo).zfill(4000)
+
+
 def _p_num(v: Fraction) -> str:
     if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+        return _p_int(v.numerator)
+    return f"{_p_int(v.numerator)}/{_p_int(v.denominator)}"
 
 
 def _needs_sign(e: Expr) -> bool:

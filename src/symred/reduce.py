@@ -373,6 +373,8 @@ def _backlund_parts(bt: BacklundRelation):
 
 # parameters of a pair's relations are sampled like its base variables
 _NO_BINDING = ParameterBinding()
+# random restarts of the Newton solve for a point's first derivatives
+NEWTON_RESTARTS = 8
 
 
 @dataclass
@@ -442,12 +444,12 @@ def _pair_build(assignments, js: JetSpace) -> _PairBuild:
     return _PairBuild(first_jets, residuals, jacobian, kept)
 
 
-def _solve_first_derivatives(pair: _PairBuild, point, rng, tries: int = 8):
+def _solve_first_derivatives(pair: _PairBuild, point, rng):
     """Numeric values of the assigned first-derivative jets at a base
     point.  The assignments may be implicit (right sides containing the
     jets themselves), so this is a small Newton solve, on the exact
-    Jacobian, with random restarts."""
-    for _ in range(tries):
+    Jacobian, with NEWTON_RESTARTS random restarts."""
+    for _ in range(NEWTON_RESTARTS):
         guesses = [rng.uniform(-2.0, 2.0) for _ in pair.unknowns]
         try:
             vals = newton_system(pair.residuals, pair.unknowns, point,

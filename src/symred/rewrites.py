@@ -10,7 +10,7 @@ symbols can be separated out (used by the reduction deriver).
 from __future__ import annotations
 
 from .expr import (
-    Add, Expr, Func, Mul, Num, ONE, Pow, ZERO, add, atoms, func, mul, pow_,
+    Add, Expr, Func, Mul, Num, ONE, Pow, ZERO, add, fold, func, mul, pow_,
     rewrite,
 )
 
@@ -63,16 +63,19 @@ def sqrt_pythagoras(e: Expr, nonneg=()) -> Expr:
     return rewrite(e, post)
 
 
-def touches(e: Expr, symbols) -> bool:
-    """Whether ``e`` contains any of the given symbols."""
-    return bool(atoms(e) & symbols)
+def touches(e: Expr, symbols, memo: dict | None = None) -> bool:
+    """Whether ``e`` contains any of the given symbols.  ``memo``, a
+    caller-owned ``{node: bool}``, keeps each node's answer, so a walk
+    that asks about many overlapping trees tests each node once."""
+    return fold(e, lambda n, kids: n in symbols or any(kids),
+                {} if memo is None else memo)
 
 
-def _split_sum(arg: Expr, symbols):
+def _split_sum(arg: Expr, symbols, memo: dict | None = None):
     if not isinstance(arg, Add):
-        return (arg, ZERO) if touches(arg, symbols) else (ZERO, arg)
-    hot = [t for t in arg.terms if touches(t, symbols)]
-    cold = [t for t in arg.terms if not touches(t, symbols)]
+        return (arg, ZERO) if touches(arg, symbols, memo) else (ZERO, arg)
+    hot = [t for t in arg.terms if touches(t, symbols, memo)]
+    cold = [t for t in arg.terms if not touches(t, symbols, memo)]
     return add(*hot) if hot else ZERO, add(*cold) if cold else ZERO
 
 
@@ -80,10 +83,11 @@ def expand_trig(e: Expr, symbols) -> Expr:
     """Expand sin/cos/exp whose argument mixes the given symbols with
     anything else, so the two groups can be separated."""
     symbols = set(symbols)
+    hot_memo: dict = {}
 
     def post(x: Expr) -> Expr:
         if isinstance(x, Func) and x.name in ("sin", "cos", "exp"):
-            hot, cold = _split_sum(x.arg, symbols)
+            hot, cold = _split_sum(x.arg, symbols, hot_memo)
             if hot != ZERO and cold != ZERO:
                 if x.name == "exp":
                     return mul(Func("exp", hot), Func("exp", cold))
@@ -102,12 +106,16 @@ def reduce_even_cosines(e: Expr, symbols) -> Expr:
     symbols, to a fixed point.  Normalizes the polynomial ring in
     {sin t, cos t} to cos-degree <= 1 before coefficient splitting."""
     symbols = set(symbols)
+    hot_memo: dict = {}
+    matched = False
 
     def post(x: Expr) -> Expr:
+        nonlocal matched
         if isinstance(x, Pow) and isinstance(x.exp, Num) and \
                 x.exp.value.denominator == 1 and x.exp.value >= 2 and \
                 isinstance(x.base, Func) and x.base.name == "cos" and \
-                touches(x.base.arg, symbols):
+                touches(x.base.arg, symbols, hot_memo):
+            matched = True
             n = int(x.exp.value)
             rest = pow_(x.base, Num(n % 2))
             squares = pow_(add(ONE, mul(Num(-1), pow_(func("sin", x.base.arg), 2))),
@@ -115,9 +123,13 @@ def reduce_even_cosines(e: Expr, symbols) -> Expr:
             return mul(rest, squares)
         return x
 
-    for _ in range(8):
-        nxt = rewrite(e, post)
-        if nxt == e:
-            return e
-        e = nxt
+    # a later pass that matches nothing gives its input back: the fixed
+    # point, found without == (which recurses once per level).  The first
+    # may renormalise raw nodes into a match.  One memo per pass.
+    for i in range(8):
+        matched = False
+        hot_memo.clear()
+        e = rewrite(e, post)
+        if not matched and i:
+            break
     return e

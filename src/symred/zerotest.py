@@ -16,13 +16,17 @@ from dataclasses import dataclass, replace
 
 from .expr import (
     DomainFault, Expr, Num, Param, ParameterBinding, OpaqueInstance,
-    atoms, eval_with_scale, opaque_names,
+    atoms, eval_numeric, eval_with_scale, opaque_names,
 )
 from .parser import print_expression
 
 ZERO_VERDICT = "zero"
 NONZERO = "nonzero"
 INCONCLUSIVE = "inconclusive"
+
+# a zero test's points, and its seeded draws, rejected ones included
+SAMPLES = 64
+RETRY_BUDGET = 1024
 
 _REL_OPS = {
     "!=": lambda v: v != 0.0,
@@ -45,7 +49,7 @@ class Constraint:
             raise ValueError(f"unknown relation {self.rel!r}")
 
     def holds(self, point, binding) -> bool:
-        v, _ = eval_with_scale(self.expr, point, binding)
+        v = eval_numeric(self.expr, point, binding)
         if self.rel == "!=" and abs(v) < 1e-6:
             return False  # keep samples away from near-singular sets
         return _REL_OPS[self.rel](v)
@@ -144,7 +148,8 @@ def check_seed(seed: int, i: int) -> int:
 
 
 def sample_point(symbols, constraints, rng: random.Random,
-                 binding: ParameterBinding, box=None, retry_budget: int = 1024,
+                 binding: ParameterBinding, box=None,
+                 retry_budget: int = RETRY_BUDGET,
                  default_box=(-2.0, 2.0)):
     """One in-domain random point, or None when the budget runs out.
 
@@ -178,11 +183,12 @@ def free_numeric_symbols(e: Expr, binding: ParameterBinding):
     return out
 
 
-def is_zero(e: Expr, constraints=(), seed: int = 0, n: int = 64,
-            tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-            retry_budget: int = 1024, binding: ParameterBinding | None = None,
+def is_zero(e: Expr, constraints=(), seed: int = 0, tol_abs: float = 1e-9,
+            tol_rel: float = 1e-9, binding: ParameterBinding | None = None,
             box=None) -> Result:
-    """Decide whether ``e`` vanishes identically on the constrained domain.
+    """Decide whether ``e`` vanishes identically on the constrained domain:
+    zero once SAMPLES in-domain points pass, inconclusive when
+    RETRY_BUDGET draws do not find them.
 
     ``e`` must be normalized, as every tree built by the constructors
     (``add``, ``mul``, ``pow_``, ...) or the parser is; pass a hand-built
@@ -201,18 +207,15 @@ def is_zero(e: Expr, constraints=(), seed: int = 0, n: int = 64,
                       witness_value=float(e.value))
 
     rng = random.Random(seed)
-    unbound_fns = sorted(set(opaque_names(e)) - set(binding.functions))
-    for c in constraints:
-        unbound_fns = sorted(set(unbound_fns) | (set(opaque_names(c.expr)) - set(binding.functions)))
-    symbols = free_numeric_symbols(e, binding)
-    for c in constraints:
-        for a in free_numeric_symbols(c.expr, binding):
-            if a not in symbols:
-                symbols.append(a)
-    symbols.sort(key=print_expression)
+    exprs = [e] + [c.expr for c in constraints]
+    unbound_fns = sorted(set().union(*map(opaque_names, exprs))
+                         - set(binding.functions))
+    symbols = sorted(dict.fromkeys(
+        a for x in exprs for a in free_numeric_symbols(x, binding)),
+        key=print_expression)
 
-    draws_left = retry_budget
-    while tested < n:
+    draws_left = RETRY_BUDGET
+    while tested < SAMPLES:
         if draws_left <= 0:
             return result(INCONCLUSIVE)
         b = binding

@@ -412,6 +412,20 @@ def test_grid_without_a_range_per_variable_is_an_error_row(capsys, tmp_path,
     assert rows["b:drawn"]["ok"] is True
 
 
+def test_derived_system_with_a_huge_constant_prints(capsys, tmp_path):
+    # (10^400)^11 folds to an integer of 4401 digits, past Python's
+    # int-to-str limit
+    bundle = tmp_path / "b.prob"
+    bundle.write_text("[space]\nindependent x t\ndependent u(x,t)\n\n"
+                      "[equation heat]\nu[t] = (10^400)^11*u[x,x]\n\n"
+                      "[ansatz travel]\nu = phi\nwhere z = x - t\n"
+                      "unknown phi(z)\noriginal heat\n", encoding="utf-8")
+    code, out, err = run(capsys, "reduce", str(bundle), "--ansatz", "travel")
+    assert code == 0
+    assert "phi[z,z] = -1/1" + "0" * 4400 + "*phi[z]\n" in out
+    assert err == ""
+
+
 def test_singular_invariant_chain_is_an_error_row_and_the_rest_runs(
         capsys, tmp_path):
     # u = w with w = u: the chain system for w's derivatives is singular

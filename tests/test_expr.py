@@ -13,6 +13,7 @@ from symred.expr import (
     diff_partial, eval_numeric, expand, func, mul, opaque, pow_, simplify,
     substitute,
 )
+from symred.numeric import SolutionSpec
 from symred.parser import SymbolContext, parse_expression
 
 x = Var("x")
@@ -211,10 +212,15 @@ def test_opaque_instance_polynomial():
 
 
 def test_opaque_instance_sin_derivative_cycle():
-    inst = OpaqueInstance.sin()
+    spec = SolutionSpec("s", fn_binds={"F": ("sin",)})
+    inst = spec.make_binding().functions["F"]
     assert inst(0, 0.3) == pytest.approx(math.sin(0.3))
     assert inst(1, 0.3) == pytest.approx(math.cos(0.3))
     assert inst(4, 0.3) == pytest.approx(math.sin(0.3))
+    assert inst(6, 0.3) == pytest.approx(-math.sin(0.3))
+    assert inst(7, 0.3) == pytest.approx(-math.cos(0.3))
+    with pytest.raises(UnboundSymbol):
+        inst(8, 0.3)
 
 
 def test_operator_overloads_build_exprs():

@@ -115,6 +115,13 @@ def test_print_parse_round_trip(text):
     assert parse_expression(printed, CTX) == e
 
 
+def test_integers_past_the_int_to_str_limit_print_in_full():
+    # the kernel folds integers of more than 4300 digits, Python's
+    # int-to-str limit
+    assert print_expression(Num(10 ** 4400)) == "1" + "0" * 4400
+    assert print_expression(Num(-(10 ** 9000) + 7)) == "-" + "9" * 8999 + "3"
+
+
 def test_print_equation_round_trips():
     lhs, rhs = parse_equation("u[x2,x2] = 1/(exp(u[x1]) - C)", CTX)
     text = print_equation(lhs, rhs)
