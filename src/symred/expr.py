@@ -687,32 +687,38 @@ def substitute(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
 class OpaqueInstance:
     """Concrete evaluable stand-in for an opaque function symbol.
 
-    Holds callables per derivative order.  Missing orders raise
-    UnboundSymbol at evaluation time.
+    Holds callables per derivative order, and ``rest``, the callable of
+    every order past them.  Missing orders raise UnboundSymbol at
+    evaluation time.
     """
 
-    def __init__(self, *derivs: Callable[[float], float]):
+    def __init__(self, *derivs: Callable[[float], float], rest=None):
         self.derivs = list(derivs)
+        self.rest = rest
 
     def __call__(self, order: int, x: float) -> float:
-        if order >= len(self.derivs) or self.derivs[order] is None:
+        fn = self.derivs[order] if order < len(self.derivs) else self.rest
+        if fn is None:
             raise UnboundSymbol(f"opaque function derivative order {order} unbound")
-        return self.derivs[order](x)
+        return fn(x)
 
     @classmethod
     def constant(cls, c: float) -> "OpaqueInstance":
-        fns = [lambda x, c=c: c] + [(lambda x: 0.0) for _ in range(6)]
-        return cls(*fns)
+        return cls.from_polynomial([c])
 
     @classmethod
-    def from_polynomial(cls, coeffs, depth: int = 6) -> "OpaqueInstance":
-        """Polynomial sum c_i x^i with exact derivative chain."""
+    def from_polynomial(cls, coeffs, depth: int | None = None) -> "OpaqueInstance":
+        """Polynomial sum c_i x^i with exact derivative chain, 0.0 at every
+        order past its degree; orders past ``depth``, if given, are
+        missing."""
         fns = []
         cur = list(coeffs)
-        for _ in range(depth + 1):
+        while cur:
             fns.append(lambda x, cs=tuple(cur): sum(c * x ** i for i, c in enumerate(cs)))
-            cur = [i * c for i, c in enumerate(cur)][1:] or [0.0]
-        return cls(*fns)
+            cur = [i * c for i, c in enumerate(cur)][1:]
+        if depth is None:
+            return cls(*fns, rest=lambda x: 0.0)
+        return cls(*(fns + [lambda x: 0.0] * depth)[:depth + 1])
 
 
 class ParameterBinding:

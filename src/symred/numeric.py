@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 
 from .expr import (
     DomainFault, Expr, ExprError, Jet, OpaqueInstance, Param,
@@ -28,8 +28,8 @@ from .expr import (
 )
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
-    FAIL, INCONCLUSIVE, PASS, RETRY_BUDGET, Constraint, Result, kept_build,
-    sample_point, within_tol,
+    FAIL, INCONCLUSIVE, PASS, Constraint, Result, draws, kept_build,
+    within_tol,
 )
 
 # pass thresholds on the largest |residual| when a solution names none
@@ -405,16 +405,8 @@ def _sample_points(spec: SolutionSpec, vars_, seed: int, constraints,
             lo, hi = spec.box[name]
             axes.append([lo + (hi - lo) * (i + 0.5) / cnt for i in range(cnt)])
         return [dict(zip(vars_, xs)) for xs in product(*axes)]
-    rng = random.Random(seed)
-    pts = []
-    budget = RETRY_BUDGET
-    while len(pts) < spec.n:
-        p, used = sample_point(vars_, constraints, rng, binding, spec.box, budget)
-        budget -= used
-        if p is None:
-            break
-        pts.append(p)
-    return pts
+    return [p for p, _ in islice(draws(vars_, constraints, random.Random(seed),
+                                       binding, spec.box), spec.n)]
 
 
 def _explicit_build(spec: SolutionSpec, eq: EquationSystem):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .expr import (
     Add, DomainFault, Expr, Jet, Mul, Num, ONE, Param, ParameterBinding, Var,
-    ZERO, add, atoms, diff_partial, eval_with_scale, expand, mul, substitute,
+    ZERO, add, atoms, diff_partial, expand, mul, substitute,
 )
 from .jets import JetSpace, total_derivative
 from .linalg import SingularImplicitSystem, gaussian_eliminate
@@ -28,9 +28,9 @@ from .rewrites import (
 )
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
-    FAIL, INCONCLUSIVE, NONZERO, ZERO_VERDICT, Constraint, Result, check_parts,
-    check_seed, combine, free_numeric_symbols, is_zero, kept_build,
-    sample_point, within_tol,
+    FAIL, NONZERO, ZERO_VERDICT, Constraint, Result, check_parts,
+    check_seed, combine, draws, free_numeric_symbols, is_zero, kept_build,
+    zero_test,
 )
 
 
@@ -375,6 +375,8 @@ def _backlund_parts(bt: BacklundRelation):
 _NO_BINDING = ParameterBinding()
 # random restarts of the Newton solve for a point's first derivatives
 NEWTON_RESTARTS = 8
+# seeded draws per compatibility condition, rejected ones included
+PAIR_DRAWS = 256
 
 
 @dataclass
@@ -444,21 +446,24 @@ def _pair_build(assignments, js: JetSpace) -> _PairBuild:
     return _PairBuild(first_jets, residuals, jacobian, kept)
 
 
-def _solve_first_derivatives(pair: _PairBuild, point, rng):
-    """Numeric values of the assigned first-derivative jets at a base
-    point.  The assignments may be implicit (right sides containing the
-    jets themselves), so this is a small Newton solve, on the exact
-    Jacobian, with NEWTON_RESTARTS random restarts."""
-    for _ in range(NEWTON_RESTARTS):
-        guesses = [rng.uniform(-2.0, 2.0) for _ in pair.unknowns]
-        try:
-            vals = newton_system(pair.residuals, pair.unknowns, point,
-                                 _NO_BINDING, guesses=guesses,
-                                 jacobian=pair.jacobian)
-            return dict(zip(pair.unknowns, vals))
-        except (NoConvergence, DomainFault):
-            continue
-    return None
+def _solved_points(pair: _PairBuild, points, rng):
+    """The (point, binding) pairs of ``points`` with the assigned
+    first-derivative jets solved in.  The assignments may be implicit
+    (right sides containing the jets themselves), so each is a small
+    Newton solve, on the exact Jacobian, with NEWTON_RESTARTS random
+    restarts; a point that none of them solves is dropped."""
+    for point, binding in points:
+        for _ in range(NEWTON_RESTARTS):
+            guesses = [rng.uniform(-2.0, 2.0) for _ in pair.unknowns]
+            try:
+                vals = newton_system(pair.residuals, pair.unknowns, point,
+                                     binding, guesses=guesses,
+                                     jacobian=pair.jacobian)
+            except (NoConvergence, DomainFault):
+                continue
+            point.update(zip(pair.unknowns, vals))
+            yield point, binding
+            break
 
 
 def check_overdetermined(spec: OverdeterminedSpec, js: JetSpace, seed: int = 0,
@@ -483,36 +488,10 @@ def check_overdetermined(spec: OverdeterminedSpec, js: JetSpace, seed: int = 0,
     results = []
     for i, (lo, free) in enumerate(pair.leftovers):
         rng = random.Random(check_seed(seed, i))
-        tested = 0
-        budget = 256
-        verdict = None
-        witness = None
-        witness_value = 0.0
-        while tested < spec.n:
-            point, used = sample_point(free, spec.constraints, rng, _NO_BINDING,
-                                       spec.box, budget, default_box=(0.2, 2.0))
-            budget -= used
-            if point is None:
-                break
-            derivs = _solve_first_derivatives(pair, point, rng)
-            if derivs is None:
-                continue
-            point.update(derivs)
-            try:
-                val, scale = eval_with_scale(lo, point, _NO_BINDING)
-            except DomainFault:
-                continue
-            tested += 1
-            if not within_tol(val, tol_abs, tol_rel, scale):
-                verdict = NONZERO
-                witness = {print_expression(k): v for k, v in point.items()}
-                witness_value = val
-                break
-        if verdict is None:
-            verdict = ZERO_VERDICT if tested >= max(spec.n, 1) else INCONCLUSIVE
+        points = draws(free, spec.constraints, rng, _NO_BINDING, spec.box,
+                       PAIR_DRAWS, (0.2, 2.0))
         results.append((f"compatibility condition {i}",
-                        Result(verdict, "probabilistic", witness=witness,
-                               witness_value=witness_value,
-                               points_tested=tested, seed=check_seed(seed, i),
-                               tol_abs=tol_abs, tol_rel=tol_rel)))
+                        zero_test(lo, _solved_points(pair, points, rng),
+                                  spec.n, check_seed(seed, i), tol_abs,
+                                  tol_rel)))
     return combine(results, seed, tol_abs, tol_rel)

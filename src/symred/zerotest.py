@@ -136,11 +136,6 @@ def kept_build(builds: dict, key: tuple, make):
     return hit[1]
 
 
-def _random_opaque(rng: random.Random) -> OpaqueInstance:
-    coeffs = [rng.uniform(-1.5, 1.5) for _ in range(5)]
-    return OpaqueInstance.from_polynomial(coeffs)
-
-
 def check_seed(seed: int, i: int) -> int:
     """Seed of the i-th residual of a check: each residual owns its own
     stream, so results do not depend on the order of the residuals."""
@@ -183,6 +178,54 @@ def free_numeric_symbols(e: Expr, binding: ParameterBinding):
     return out
 
 
+def draws(symbols, constraints, rng: random.Random,
+          binding: ParameterBinding, box=None, budget: int | None = None,
+          default_box=(-2.0, 2.0), opaque=()):
+    """The one seeded point source: (point, binding) pairs drawn by
+    ``sample_point`` within ``budget`` draws (default RETRY_BUDGET), each
+    binding giving the names in ``opaque`` fresh random polynomial
+    stand-ins, drawn before the point."""
+    budget = RETRY_BUDGET if budget is None else budget
+    while budget > 0:
+        b = binding
+        if opaque:
+            b = binding.extended(functions={f: OpaqueInstance.from_polynomial(
+                [rng.uniform(-1.5, 1.5) for _ in range(5)]) for f in opaque})
+        point, used = sample_point(symbols, constraints, rng, b, box, budget,
+                                   default_box)
+        budget -= used
+        if point is None:
+            return
+        yield point, b
+
+
+def zero_test(e: Expr, points, n: int, seed: int, tol_abs: float,
+              tol_rel: float) -> Result:
+    """The one zero-test loop over (point, binding) pairs, pulled only
+    while fewer than ``n`` points are tested; a point where ``e`` raises
+    DomainFault is skipped.  Nonzero at the first point out of tolerance,
+    zero once ``max(n, 1)`` points pass, else inconclusive."""
+    tested = 0
+    points = iter(points)
+    while tested < n:
+        point, binding = next(points, (None, None))
+        if point is None:
+            break
+        try:
+            val, scale = eval_with_scale(e, point, binding)
+        except DomainFault:
+            continue
+        tested += 1
+        if not within_tol(val, tol_abs, tol_rel, scale):
+            return Result(NONZERO, "probabilistic",
+                          witness={print_expression(k): v for k, v in point.items()},
+                          witness_value=val, points_tested=tested, seed=seed,
+                          tol_abs=tol_abs, tol_rel=tol_rel)
+    verdict = ZERO_VERDICT if tested >= max(n, 1) else INCONCLUSIVE
+    return Result(verdict, "probabilistic", points_tested=tested, seed=seed,
+                  tol_abs=tol_abs, tol_rel=tol_rel)
+
+
 def is_zero(e: Expr, constraints=(), seed: int = 0, tol_abs: float = 1e-9,
             tol_rel: float = 1e-9, binding: ParameterBinding | None = None,
             box=None) -> Result:
@@ -194,48 +237,22 @@ def is_zero(e: Expr, constraints=(), seed: int = 0, tol_abs: float = 1e-9,
     (``add``, ``mul``, ``pow_``, ...) or the parser is; pass a hand-built
     tree through ``simplify`` first."""
     binding = binding or ParameterBinding()
-    tested = 0
-
-    def result(verdict, provenance="probabilistic", **kw) -> Result:
-        return Result(verdict, provenance, points_tested=tested, seed=seed,
-                      tol_abs=tol_abs, tol_rel=tol_rel, **kw)
-
     if isinstance(e, Num):
         if e.value == 0:
-            return result(ZERO_VERDICT, "symbolic")
-        return result(NONZERO, "symbolic", witness={},
-                      witness_value=float(e.value))
+            return Result(ZERO_VERDICT, seed=seed, tol_abs=tol_abs,
+                          tol_rel=tol_rel)
+        return Result(NONZERO, witness={}, witness_value=float(e.value),
+                      seed=seed, tol_abs=tol_abs, tol_rel=tol_rel)
 
-    rng = random.Random(seed)
     exprs = [e] + [c.expr for c in constraints]
     unbound_fns = sorted(set().union(*map(opaque_names, exprs))
                          - set(binding.functions))
     symbols = sorted(dict.fromkeys(
         a for x in exprs for a in free_numeric_symbols(x, binding)),
         key=print_expression)
-
-    draws_left = RETRY_BUDGET
-    while tested < SAMPLES:
-        if draws_left <= 0:
-            return result(INCONCLUSIVE)
-        b = binding
-        if unbound_fns:
-            b = binding.extended(functions={f: _random_opaque(rng) for f in unbound_fns})
-        point, used = sample_point(symbols, constraints, rng, b, box, draws_left)
-        draws_left -= used
-        if point is None:
-            return result(INCONCLUSIVE)
-        try:
-            val, scale = eval_with_scale(e, point, b)
-        except DomainFault:
-            draws_left -= 1
-            continue
-        tested += 1
-        if not within_tol(val, tol_abs, tol_rel, scale):
-            return result(NONZERO,
-                          witness={print_expression(k): v for k, v in point.items()},
-                          witness_value=val)
-    return result(ZERO_VERDICT)
+    points = draws(symbols, constraints, random.Random(seed), binding, box,
+                   opaque=unbound_fns)
+    return zero_test(e, points, SAMPLES, seed, tol_abs, tol_rel)
 
 
 def check_parts(labelled, constraints, seed: int, tol_abs: float,

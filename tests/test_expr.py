@@ -223,6 +223,13 @@ def test_opaque_instance_sin_derivative_cycle():
         inst(8, 0.3)
 
 
+def test_opaque_instance_constant_answers_every_order():
+    spec = SolutionSpec("s", fn_binds={"F": ("const", 2.0)})
+    inst = spec.make_binding().functions["F"]
+    assert inst(0, 0.3) == 2.0
+    assert inst(7, 0.3) == 0.0
+
+
 def test_operator_overloads_build_exprs():
     e = (x + 1) * (y - 2) / x ** 2
     assert isinstance(e, (Add, Mul, Pow, Opaque)) or e is not None

@@ -1,6 +1,7 @@
 """Repository hygiene: no unused imports, no imports of another module's
 private names and no unread module-level definitions in the library, one
-walk that rebuilds trees, and the library runs without numpy."""
+walk that rebuilds trees, one point source and one zero-test loop, and
+the library runs without numpy."""
 
 import ast
 import os
@@ -129,26 +130,37 @@ def test_unread_definition_scan_sees_an_unread_name(tmp_path):
         ["mod.py:2 B", "mod.py:6 g", "mod.py:8 K"]
 
 
-def _rebuild_callers(path: Path) -> list:
-    """(file, line, module-level definition) of every call of
-    ``rebuild``; a call in a nested function or lambda counts for the
-    definition around it, one outside any for ``<module>``."""
+def _callers(path: Path, name: str) -> list:
+    """(file, line, module-level definition) of every call of ``name``;
+    a call in a nested function or lambda counts for the definition
+    around it, one outside any for ``<module>``."""
     out = []
     for top in ast.parse(path.read_text(encoding="utf-8")).body:
-        name = getattr(top, "name", "<module>")
+        where = getattr(top, "name", "<module>")
         for n in ast.walk(top):
-            if isinstance(n, ast.Call) and "rebuild" in (
+            if isinstance(n, ast.Call) and name in (
                     getattr(n.func, "id", None), getattr(n.func, "attr", None)):
-                out.append((path.name, n.lineno, name))
+                out.append((path.name, n.lineno, where))
     return out
+
+
+def _library_callers(name: str) -> set:
+    return {(f, where) for path in sorted(SRC.glob("*.py"))
+            for f, _, where in _callers(path, name)}
 
 
 def test_only_the_walk_driver_calls_rebuild():
     # every rebuilding walk is expr.rewrite (or fold with rebuild as its
     # combine), so trees are rebuilt by one memoised postorder walk
-    callers = {(f, name) for path in sorted(SRC.glob("*.py"))
-               for f, _, name in _rebuild_callers(path)}
-    assert callers == {("expr.py", "rewrite")}
+    assert _library_callers("rebuild") == {("expr.py", "rewrite")}
+
+
+def test_one_point_source_and_one_zero_test_loop():
+    # every seeded point is drawn by zerotest.draws, and every sampled
+    # zero test evaluates its points in zerotest.zero_test
+    assert _library_callers("sample_point") == {("zerotest.py", "draws")}
+    assert _library_callers("eval_with_scale") == \
+        {("zerotest.py", "zero_test")}
 
 
 def test_rebuild_scan_sees_a_call(tmp_path):
@@ -163,8 +175,11 @@ def test_rebuild_scan_sees_a_call(tmp_path):
                    "def ok(e):\n"
                    "    return fold(e, rebuild, {})\n"
                    "rebuild(None, ())\n")
-    assert _rebuild_callers(mod) == \
+    assert _callers(mod, "rebuild") == \
         [("mod.py", 4, "walk"), ("mod.py", 7, "K"), ("mod.py", 10, "<module>")]
+    assert _callers(mod, "fold") == \
+        [("mod.py", 4, "walk"), ("mod.py", 9, "ok")]
+    assert _callers(mod, "sample_point") == []
 
 
 def test_paper_suite_runs_without_numpy():

@@ -10,7 +10,7 @@ from symred.expr import (
     Jet, Num, Param, ParameterBinding, Var, func, opaque, pow_,
 )
 from symred.jets import JetSpace
-from symred import numeric
+from symred import zerotest
 from symred.numeric import (
     NoConvergence, SolutionSpec, newton_system, quadrature,
     quadrature_instance, residual_explicit, residual_fd, residual_implicit,
@@ -154,7 +154,7 @@ def test_explicit_report_counts_pinned(bundles, monkeypatch):
     assert (rep.points_tested + rep.points_skipped, rep.points_skipped) == (64, 0)
     # the solution's constraint fails for w < -ln 2: on a widened box
     # draws are rejected and the budget of 100 runs out at 60 points
-    monkeypatch.setattr(numeric, "RETRY_BUDGET", 100)
+    monkeypatch.setattr(zerotest, "RETRY_BUDGET", 100)
     rep = residual_explicit(replace(spec, box={"w": (-3.0, 2.0)}), sys_, 3)
     assert (rep.points_tested + rep.points_skipped, rep.points_skipped) == (60, 0)
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +70,21 @@ def test_opaque_nonidentity_detected():
     assert not is_zero(e, seed=0).is_zero
 
 
+def test_unbound_function_draw_order_pinned():
+    # each point draws the stand-ins of F first, then the point itself
+    e = opaque("F", x) * y - opaque("F", x, order=1)
+    r = is_zero(e, (Constraint(x - Num(1), ">"),), seed=3)
+    assert (r.verdict, r.points_tested) == ("nonzero", 1)
+    assert r.witness == {"x": 1.34987632838584, "y": -0.9625839426879694}
+    assert r.witness_value == -5.169464136305082
+
+
+def test_stand_ins_answer_every_derivative_order():
+    # a random stand-in is a degree-4 polynomial: its 7th derivative is 0
+    d7 = opaque("F", x, order=7)
+    assert is_zero(d7 * x + d7, seed=0).verdict == "zero"
+
+
 def test_binding_pins_parameters():
     c = Param("C")
     e = c - Num(2)
@@ -80,6 +96,16 @@ def test_inconclusive_when_domain_is_empty():
     cs = (Constraint(x, ">"), Constraint(x, "<"))
     r = is_zero(x, cs, seed=0)
     assert r.verdict == "inconclusive"
+
+
+def test_a_draw_that_faults_at_evaluation_costs_one_draw():
+    # ln faults on the draws with x < 41/25, about 9 in 10 of the
+    # default box; 1024 draws find the 64 points, 512 would not
+    a = x - Num(Fraction(41, 25))
+    e = func("exp", func("ln", a)) - a
+    for seed in range(6):
+        r = is_zero(e, seed=seed)
+        assert (r.verdict, r.points_tested) == ("zero", 64)
 
 
 def test_box_override():
