@@ -707,18 +707,15 @@ class OpaqueInstance:
         return cls.from_polynomial([c])
 
     @classmethod
-    def from_polynomial(cls, coeffs, depth: int | None = None) -> "OpaqueInstance":
+    def from_polynomial(cls, coeffs) -> "OpaqueInstance":
         """Polynomial sum c_i x^i with exact derivative chain, 0.0 at every
-        order past its degree; orders past ``depth``, if given, are
-        missing."""
+        order past its degree."""
         fns = []
         cur = list(coeffs)
         while cur:
             fns.append(lambda x, cs=tuple(cur): sum(c * x ** i for i, c in enumerate(cs)))
             cur = [i * c for i, c in enumerate(cur)][1:]
-        if depth is None:
-            return cls(*fns, rest=lambda x: 0.0)
-        return cls(*(fns + [lambda x: 0.0] * depth)[:depth + 1])
+        return cls(*fns, rest=lambda x: 0.0)
 
 
 class ParameterBinding:

@@ -3,8 +3,11 @@
 tol=None)``, adaptive quadrature, one damped Newton loop
 (``newton_system``, for any number of unknowns, with a bisection
 safeguard for one) for implicit relations and small systems, and PDE
-residuals via exact symbolic derivatives (of an implicit chain, by the
-implicit function theorem) or finite differences.
+residuals via exact symbolic derivatives or finite differences.  An
+implicit chain's derivatives come from the implicit function theorem,
+with each D^a R_i the prolongation coefficient of the evolutionary
+field R_i d/ds_i (``jets.prolong``, the route of the Lie-Backlund
+checks); an auxiliary unknown appears there as the jet ``name#``.
 
 The Newton loop takes an exact Jacobian where the caller has one: the
 implicit path solves each relation on its exact dR/ds, and the
@@ -24,8 +27,9 @@ from itertools import islice, product
 
 from .expr import (
     DomainFault, Expr, ExprError, Jet, OpaqueInstance, Param,
-    ParameterBinding, Var, add, atoms, diff_partial, eval_numeric, mul,
+    ParameterBinding, Var, atoms, diff_partial, eval_numeric, substitute,
 )
+from .jets import JetSpace, VectorField, prolong
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
     FAIL, INCONCLUSIVE, PASS, Constraint, Result, draws, kept_build,
@@ -547,68 +551,48 @@ def _sub_indices(index: tuple) -> set:
             for counts in product(*(range(c + 1) for _, c in index))}
 
 
-def _chain_derivative(e: Expr, v: str, families: dict, memos: dict) -> Expr:
-    """D_v e along an implicit chain: the partial in ``v`` plus, for each
-    unknown or unknown derivative S in ``e``, dE/dS times S lifted by
-    ``v``.  ``families`` maps each unknown to its family name."""
-    names = set(families.values())
-    parts = [diff_partial(e, Var(v), memos)]
-    for a in atoms(e):
-        fam = families.get(a)
-        if fam is not None:
-            lifted = Jet(fam, ((v, 1),))
-        elif isinstance(a, Jet) and a.dep in names:
-            lifted = a.lift(v)
-        else:
-            continue
-        parts.append(mul(diff_partial(e, a, memos), lifted))
-    return add(*parts)
-
-
-def _chain_jets(relations, indices):
+def _chain_jets(relations, indices, base):
     """The implicit-function derivatives of a relation chain, built once.
 
     For relation ``R_i(x, s_1..s_i)`` and each multi-index a in
     ``indices`` (closed under taking sub-indices), ``E_ia = D^a R_i`` is
     affine in ``S_ia``, the a-derivative of ``s_i``, with coefficient
     ``dR_i/ds_i``, so ``S_ia = -E_ia|_{S_ia=0} / (dR_i/ds_i)`` (Krantz &
-    Parks, The Implicit Function Theorem, 2002).  Returns the
+    Parks, The Implicit Function Theorem, 2002).  Each E_ia is the
+    a-coefficient of the prolonged evolutionary field sum R_i d/ds_i,
+    with every unknown a dependent of the ``base`` variables: the
+    prolongation of :mod:`symred.jets`, as for a Lie-Backlund operator.
+    An auxiliary unknown (a Param) becomes the jet ``name#``, a name the
+    .prob parser cannot produce.  Returns the relations so renamed, the
     denominators ``[dR_i/ds_i]`` and the steps ``(S_ia, E_ia, i)`` for
     every nonempty a, in an order they can be evaluated in: by |a|, and
     by i within each a."""
-    memos: dict = {}
-    # the dependent name of each unknown's derivative symbols: a declared
-    # dependent keeps its own jets; an auxiliary unknown (a Param) gets a
-    # name the .prob parser cannot produce
-    families = {u: u.dep if isinstance(u, Jet) else u.name + "#"
-                for u, *_ in relations}
-    dens = [diff_partial(res, unknown, memos) for unknown, res, *_ in relations]
-    built = {((), i): rel[1] for i, rel in enumerate(relations)}
-    steps = []
-    for a in sorted(indices, key=lambda a: (sum(c for _, c in a), a))[1:]:
-        # a is the first variable's derivative of its parent index
-        (v, c), rest = a[0], a[1:]
-        lower = ((v, c - 1),) + rest if c > 1 else rest
-        for i, (unknown, *_) in enumerate(relations):
-            e = built[a, i] = _chain_derivative(built[lower, i], v, families,
-                                                memos)
-            steps.append((Jet(families[unknown], a), e, i))
-    return dens, steps
+    rename = {u: Jet(u.name + "#") for u, *_ in relations
+              if isinstance(u, Param)}
+    relations = [(rename.get(u, u), substitute(res, rename), *rest)
+                 for u, res, *rest in relations]
+    by_size = sorted(indices, key=lambda a: (sum(c for _, c in a), a))
+    js = JetSpace(base, {u.dep: base for u, *_ in relations})
+    pf = prolong(VectorField({}, {u.dep: res for u, res, *_ in relations}),
+                 max(1, sum(c for _, c in by_size[-1])), js)
+    dens = [diff_partial(res, u) for u, res, *_ in relations]
+    steps = [(Jet(u.dep, a), pf.coefficient(Jet(u.dep, a)), i)
+             for a in by_size[1:] for i, (u, *_) in enumerate(relations)]
+    return relations, dens, steps
 
 
 def _implicit_build(spec: SolutionSpec, eq: EquationSystem):
     """The symbolic part of :func:`residual_implicit`: the equation's
     residual, the base variables, the constraints that guide sampling,
-    the relations, and :func:`_chain_jets` for every multi-index the
+    and :func:`_chain_jets` of the relations for every multi-index the
     equation's jets need (sub-indices included)."""
     residual, jets, base_vars, samplable = _one_equation(
         "residual_implicit", spec, eq)
     indices = {()}
     for j in jets:
         indices |= _sub_indices(j.index)
-    relations = _relations(spec, eq)
-    return (residual, base_vars, samplable, relations,
-            *_chain_jets(relations, indices))
+    return (residual, base_vars, samplable,
+            *_chain_jets(_relations(spec, eq), indices, eq.js.independent))
 
 
 def residual_implicit(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,

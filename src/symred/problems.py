@@ -157,6 +157,14 @@ def _count(text: str, ln: int) -> int:
     return n
 
 
+def _step(text: str, ln: int) -> float:
+    """A finite-difference step: a finite number above 0."""
+    h = _number(text, ln)
+    if not 0 < h < float("inf"):
+        raise ParseError(f"expected a positive finite step, got {h}", ln)
+    return h
+
+
 def _range(text: str, ln: int):
     if ".." not in text:
         raise ParseError("range needs 'lo .. hi'", ln)
@@ -491,7 +499,7 @@ class _Loader:
         spec.grid = sec.last(
             "grid", lambda text, ln: tuple(_integer(p, ln) for p in text.split()),
             spec.grid)
-        spec.h = sec.last("h", _number, spec.h)
+        spec.h = sec.last("h", _step, spec.h)
         spec.n = sec.last("n", _count, spec.n)
         spec.seed = sec.last("seed", _integer, spec.seed)
         spec.tol = sec.last("tol", _number, spec.tol)
@@ -584,7 +592,7 @@ class _Loader:
         ctx = self.context()
         constraints = sec.constraints(ctx)
         box = sec.ranges("box")
-        n = sec.last("n", _count, 32)
+        n = sec.last("n", _count, OverdeterminedSpec.n)
         expect = sec.expect()
         assignments = sec.equations(ctx)
         if not assignments:

@@ -58,8 +58,9 @@ class Ansatz:
     nonneg: tuple = ()
     name: str = ""
     # the seed-independent work of the checks, by key: the frame (),
-    # derive_reduction's solved equations (original,), verify_reduction's
-    # restricted residuals (original, candidate)
+    # derive_reduction's solved equations and its system per outcome
+    # (original,), verify_reduction's restricted residuals (original,
+    # candidate)
     _builds: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 
@@ -195,15 +196,16 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
     EquationSystem on success, and otherwise a failing Result whose
     ``detail`` gives the reason.  The tolerances apply where two
     separated equations for the same derivative are compared.  The
-    separation and the solved equations are made once per original and
-    kept on the ansatz; only that comparison takes the seed.
+    separation, the solved equations and the system of each outcome are
+    made once per original and kept on the ansatz; only that comparison
+    takes the seed.
     """
     def failure(reason: str) -> Result:
         return Result(FAIL, detail=reason, seed=seed, tol_abs=tol_abs,
                       tol_rel=tol_rel)
 
-    solved = kept_build(a._builds, (original,),
-                        lambda: _derivation(a, original))
+    solved, systems = kept_build(a._builds, (original,),
+                                 lambda: (_derivation(a, original), {}))
     if isinstance(solved, str):
         return failure(solved)
     frame = _frame(a)
@@ -237,9 +239,12 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
             f"{len(a.phis)} unknown functions")
 
     equations = sorted(kept_eqs.items(), key=lambda kv: (kv[0].dep, kv[0].index))
-    return EquationSystem(frame.js, equations,
-                          frame.constraints + tuple(kept_pivots),
-                          name=(a.name + " reduced") if a.name else "reduced")
+    outcome = (tuple(equations), frame.constraints + tuple(kept_pivots))
+    if outcome not in systems:  # every seed reaching it gets one object
+        systems[outcome] = EquationSystem(
+            frame.js, *outcome,
+            name=(a.name + " reduced") if a.name else "reduced")
+    return systems[outcome]
 
 
 def _derivation(a: Ansatz, original: EquationSystem):

@@ -17,7 +17,14 @@ level; their matches build through the ``add`` and ``mul`` above.
 path of ``symred.jets.apply_operator`` before a canonical operator was
 applied as its prolonged evolutionary field: each coefficient D_J U is
 ``total_derivative_multi`` of the characteristic.  Here they build
-through the reference walkers above."""
+through the reference walkers above.
+
+``chain_derivative`` and ``chain_jets`` are the implicit-function
+derivatives of ``symred.numeric`` before they were read from the
+prolongation layer: a chain rule of their own, D_v along the relation
+chain, with an auxiliary unknown's derivatives named ``name#`` and its
+value left a Param.  Here they build through the reference kernel
+functions above."""
 
 from fractions import Fraction
 
@@ -387,3 +394,33 @@ def apply_canonical(pf, e, js=None):
                 parts.append(mul(applier.coefficient(a), d))
         return add(*parts)
     raise TypeError(type(pf))
+
+
+def chain_derivative(e, v, families):
+    names = set(families.values())
+    parts = [diff_partial(e, Var(v))]
+    for a in atoms(e):
+        fam = families.get(a)
+        if fam is not None:
+            lifted = Jet(fam, ((v, 1),))
+        elif isinstance(a, Jet) and a.dep in names:
+            lifted = a.lift(v)
+        else:
+            continue
+        parts.append(mul(diff_partial(e, a), lifted))
+    return add(*parts)
+
+
+def chain_jets(relations, indices):
+    families = {u: u.dep if isinstance(u, Jet) else u.name + "#"
+                for u, *_ in relations}
+    dens = [diff_partial(res, unknown) for unknown, res, *_ in relations]
+    built = {((), i): rel[1] for i, rel in enumerate(relations)}
+    steps = []
+    for a in sorted(indices, key=lambda a: (sum(c for _, c in a), a))[1:]:
+        (v, c), rest = a[0], a[1:]
+        lower = ((v, c - 1),) + rest if c > 1 else rest
+        for i, (unknown, *_) in enumerate(relations):
+            e = built[a, i] = chain_derivative(built[lower, i], v, families)
+            steps.append((Jet(families[unknown], a), e, i))
+    return dens, steps

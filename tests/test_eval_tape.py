@@ -51,7 +51,8 @@ FUNCS = ("sin", "cos", "tan", "arctan", "exp", "ln", "abs")
 # F has derivative orders 0..1 only, H raises from math, G is unbound
 BINDING = ParameterBinding(
     {"C": 1.25},
-    {"F": OpaqueInstance.from_polynomial([0.5, -1.0, 2.0], depth=1),
+    {"F": OpaqueInstance(lambda x: 0.5 - x + 2.0 * x * x,
+                         lambda x: -1.0 + 4.0 * x),
      "H": OpaqueInstance(math.sqrt, math.exp)})
 
 VALUES = st.one_of(st.floats(-3.0, 3.0),

@@ -224,6 +224,22 @@ def test_a_scaled_copy_gets_its_own_build(bundles, name):
         assert check(changed, system, seed).verdict == "fail"
 
 
+@pytest.mark.parametrize("bname,aname", [("ode32", "logAnsatz"),
+                                         ("sg_deformed", "eq16")])
+def test_a_derived_system_is_built_once_per_outcome(bundles, bname, aname):
+    # each seed's derivation reaches the same system, so verifying it
+    # keeps one build: the frame, the derivation and one (original,
+    # candidate), not one per call
+    b = bundles[bname]
+    entry = b.ansatzes[aname]
+    a, original = replace(entry.ansatz), b.equations[entry.original]
+    for seed in range(20):
+        derived = derive_reduction(a, original, seed=seed)
+        assert verify_reduction(a, original, derived, seed=seed).verdict == "pass"
+    assert len(a._builds) == 3
+    assert derive_reduction(a, original, seed=20) is derived
+
+
 GOLDEN = Path(__file__).parent / "data" / "paper_suite_seed0-4.jsonl"
 
 

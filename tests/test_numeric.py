@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from symred.expr import (
-    Jet, Num, Param, ParameterBinding, Var, func, opaque, pow_,
+    Jet, Num, Param, ParameterBinding, Var, func, opaque, pow_, substitute,
 )
 from symred.jets import JetSpace
-from symred import zerotest
+from symred import numeric, zerotest
 from symred.numeric import (
     NoConvergence, SolutionSpec, newton_system, quadrature,
     quadrature_instance, residual_explicit, residual_fd, residual_implicit,
@@ -18,6 +18,8 @@ from symred.numeric import (
 )
 from symred.systems import EquationSystem
 from symred.zerotest import Constraint
+
+import reference_kernel
 
 x = Var("x")
 
@@ -290,3 +292,66 @@ def test_exact_path_leaves_no_reference_cycles(bundles):
             gc.enable()
 
     assert garbage(residual_implicit) <= garbage(residual_fd)
+
+
+# -- the chain derivatives from the prolongation layer against the
+# chain rule they replaced ------------------------------------------------
+
+def _third_order_chain():
+    """u[t] = u[x,x,t] + u[x]*u[t,t] with the chain s*exp(s) = x - C*t,
+    u^3 + u = s*x + t: an auxiliary unknown and mixed third-order jets."""
+    X, T, C, s, u = Var("x"), Var("t"), Param("C"), Param("s"), Jet("u")
+    sys_ = EquationSystem(XT, [(XT.jet("u", "t"),
+                                XT.jet("u", "x", "x", "t")
+                                + XT.jet("u", "x") * XT.jet("u", "t", "t"))])
+    sol = SolutionSpec(
+        "chain3", kind="implicit", dep="u", binds={"C": 0.5},
+        relations=[("s", s * func("exp", s) - X + C * T),
+                   ("u", pow_(u, Num(3)) + u - s * X - T)],
+        guesses={"s": 0.5, "u": 0.5},
+        brackets={"s": (-1.0, 3.0), "u": (-5.0, 5.0)},
+        box={"x": (0.0, 2.0), "t": (0.0, 1.0)}, n=32)
+    return sol, sys_
+
+
+def _chains(bundles):
+    eq6 = bundles["eq6"]
+    return [(eq6.solutions[name], eq6.system("eq6"))
+            for name in ("implicitTheta", "thetaFlipped")] + \
+        [_third_order_chain()]
+
+
+def _old_route(relations, indices, base):
+    """The chain rule oracle in ``_chain_jets``'s place: the relations
+    kept as they are, and the oracle's denominators and steps."""
+    return (relations, *reference_kernel.chain_jets(relations, indices))
+
+
+def test_chain_jets_equal_the_chain_rule_oracle(bundles):
+    for spec, sys_ in _chains(bundles):
+        _, _, _, relations, dens, steps = numeric._implicit_build(spec, sys_)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_chain_jets", _old_route)
+            _, _, _, old, ref_dens, ref_steps = \
+                numeric._implicit_build(spec, sys_)
+        rename = {u: Jet(u.name + "#") for u, *_ in old
+                  if isinstance(u, Param)}
+        assert relations == [(rename.get(u, u), substitute(r, rename), *rest)
+                             for u, r, *rest in old]
+        assert dens == [substitute(d, rename) for d in ref_dens]
+        assert len(steps) == len(ref_steps) > 0
+        for (sym, e, i), (ref_sym, ref_e, ref_i) in zip(steps, ref_steps):
+            assert (sym, i) == (ref_sym, ref_i)
+            assert e == substitute(ref_e, rename), sym
+
+
+def test_residual_implicit_equals_the_chain_rule_oracle(bundles):
+    for spec, sys_ in _chains(bundles):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_chain_jets", _old_route)
+            old = replace(spec)
+            want = [residual_implicit(old, sys_, seed) for seed in range(4)]
+        new = replace(spec)
+        got = [residual_implicit(new, sys_, seed) for seed in range(4)]
+        assert got == want
+        assert all(r.points_tested > 0 for r in got)

@@ -92,6 +92,8 @@ def test_error_reports_line_number():
     ("[solution s]", "n many"),
     ("[solution s]", "n 0"),
     ("[solution s]", "seed 1.5"),
+    ("[solution s]", "h 0"),
+    ("[solution s]", "h -0.0001"),
     ("[solution s]", "bind F = const"),
     ("[solution s]", "quadrature I(s) from 0"),
     ("[overdetermined o]", "box x1 0 .. 1"),
