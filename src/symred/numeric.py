@@ -529,14 +529,11 @@ def residual_fd(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
         for j in jets:
             idx = dict(j.index)
             stencils = [_fd_stencil_1d(idx.get(v.name, 0), h) for v in base_vars]
-            total = 0.0
             combos = [((), 1.0)]
             for st in stencils:
                 combos = [(offs + (o,), wgt * w) for offs, wgt in combos
                           for o, w in st]
-            for offs, wgt in combos:
-                total += wgt * value_at(offs)
-            env[j] = total
+            env[j] = sum(wgt * value_at(offs) for offs, wgt in combos)
         return abs(eval_numeric(residual, env, binding))
 
     return _check_points(pts, residual_at, seed,
@@ -567,8 +564,7 @@ def _chain_jets(relations, indices, base):
     denominators ``[dR_i/ds_i]`` and the steps ``(S_ia, E_ia, i)`` for
     every nonempty a, in an order they can be evaluated in: by |a|, and
     by i within each a."""
-    rename = {u: Jet(u.name + "#") for u, *_ in relations
-              if isinstance(u, Param)}
+    rename = {u: Jet(u.name + "#") for u, *_ in relations if isinstance(u, Param)}
     relations = [(rename.get(u, u), substitute(res, rename), *rest)
                  for u, res, *rest in relations]
     by_size = sorted(indices, key=lambda a: (sum(c for _, c in a), a))

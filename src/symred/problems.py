@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .expr import Jet, Param, atoms
 from .jets import CanonicalOperator, JetSpace, VectorField
 from .numeric import SolutionSpec  # the solution record, re-exported here
 from .parser import (
@@ -513,6 +514,7 @@ class _Loader:
                       for _, rest in sec.get("quadrature")]
         ctx = self.context(dependents=target.js.dependents, params=spec.aux,
                            functions=quad_names)
+        used_at = {}  # the first relation line using each unsolved name
         # in file order, so that the first faulty line is the one named
         for ln, key, rest in sec.in_order("constraint", "quadrature",
                                           "relation", None):
@@ -547,6 +549,13 @@ class _Loader:
                 if uname not in spec.aux and uname not in target.js.dependents:
                     raise UndeclaredSymbol(
                         f"relation unknown {uname!r} is not declared", ln)
+                # solved in order: no relation may use a later one's unknown
+                if used_at.get(uname):
+                    raise ParseError(f"relation uses {uname!r} before the relation "
+                                     f"at line {ln} solves it", used_at[uname])
+                used_at[uname] = None  # solved from here on
+                for a in atoms(res, (Param, Jet)):
+                    used_at.setdefault(a.name if isinstance(a, Param) else a.dep, ln)
                 spec.relations.append((uname, res))
             else:
                 lhs, rhs = parse_equation(rest, ctx, ln)

@@ -94,6 +94,9 @@ def test_error_reports_line_number():
     ("[solution s]", "seed 1.5"),
     ("[solution s]", "h 0"),
     ("[solution s]", "h -0.0001"),
+    # a relation that uses an unknown a later relation solves
+    ("[solution s]",
+     "relation u : u = theta\nrelation theta : theta = x1\nunknown theta"),
     ("[solution s]", "bind F = const"),
     ("[solution s]", "quadrature I(s) from 0"),
     ("[overdetermined o]", "box x1 0 .. 1"),
