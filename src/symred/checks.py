@@ -9,12 +9,11 @@ from dataclasses import dataclass, field
 from .expr import Jet, Num, ZERO, add, mul, pow_
 from .jets import CanonicalOperator, JetSpace, VectorField, apply_operator, prolong
 from .systems import EquationSystem, restrict_to_manifold
-from .zerotest import Result, check_parts, check_seed
+from .zerotest import TOL, Result, check_parts, check_seed
 
 
 def check_classical(vf: VectorField, sys: EquationSystem, seed: int = 0,
-                    extra=(), tol_abs: float = 1e-9,
-                    tol_rel: float = 1e-9) -> Result:
+                    extra=(), tol: float = TOL) -> Result:
     """Apply the prolonged field to each equation, restrict to the
     manifold (with consequences), zero-test.  Pass iff all residuals
     vanish."""
@@ -23,7 +22,7 @@ def check_classical(vf: VectorField, sys: EquationSystem, seed: int = 0,
               restrict_to_manifold(apply_operator(pf, lhs - rhs), sys,
                                    extra=extra))
              for i, (lhs, rhs) in enumerate(sys.equations))
-    return check_parts(parts, sys.constraints, seed, tol_abs, tol_rel)
+    return check_parts(parts, sys.constraints, seed, tol)
 
 
 def _constant_pivot(vf: VectorField):
@@ -62,16 +61,15 @@ def invariant_surface_conditions(vf: VectorField, js: JetSpace):
 
 
 def check_conditional(vf: VectorField, sys: EquationSystem, seed: int = 0,
-                      tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
+                      tol: float = TOL) -> Result:
     """As check_classical, but the manifold also carries the operator's
     own invariant-surface conditions and their consequences."""
     extras = invariant_surface_conditions(vf, sys.js)
-    return check_classical(vf, sys, seed=seed, extra=extras,
-                           tol_abs=tol_abs, tol_rel=tol_rel)
+    return check_classical(vf, sys, seed=seed, extra=extras, tol=tol)
 
 
 def check_lie_backlund(op: CanonicalOperator, ode: EquationSystem, seed: int = 0,
-                       tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
+                       tol: float = TOL) -> Result:
     """Lie-Backlund invariance of a single solved-form ODE: the classical
     check of the operator's evolutionary field U d/du, restricted to the
     ODE manifold including mixed-variable differential consequences."""
@@ -80,8 +78,7 @@ def check_lie_backlund(op: CanonicalOperator, ode: EquationSystem, seed: int = 0
     lhs, _ = ode.equations[0]
     if len(lhs.index) != 1:
         raise ValueError("leading coordinate must be a pure derivative in one variable")
-    return check_classical(op.field(), ode, seed=seed, tol_abs=tol_abs,
-                           tol_rel=tol_rel)
+    return check_classical(op.field(), ode, seed=seed, tol=tol)
 
 
 @dataclass

@@ -18,6 +18,10 @@ record has one (a derivation's failure reason, a solution's skipped
 points, a runtime error).  Text output prints one line per row;
 ``--format json-lines`` prints each row as a JSON object with sorted
 keys.
+
+Every verdict takes one tolerance: ``--tol`` (finite, >= 0) when given,
+else ``zerotest.TOL`` for a check, reported as abs and rel, and
+``numeric.solution_tol`` for a solution, reported as abs with rel 0.
 """
 
 from __future__ import annotations
@@ -39,11 +43,10 @@ from .reduce import (
     verify_backlund, verify_reduction,
 )
 from .numeric import (
-    DEFAULT_EXPLICIT_TOL, DEFAULT_IMPLICIT_TOL, residual_explicit, residual_fd,
-    residual_implicit,
+    residual_explicit, residual_fd, residual_implicit, solution_tol,
 )
 from .systems import EquationSystem
-from .zerotest import PASS, Result
+from .zerotest import PASS, TOL, Result
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -53,9 +56,6 @@ EXIT_ERROR = 4
 
 # runtime faults of one entry's check, reported as that entry's row
 ENTRY_FAULTS = (ExprError, ValueError, OverflowError, RecursionError)
-
-# tolerance of every zero-test unless --tol overrides it
-DEFAULT_TOL = 1e-9
 
 
 class UsageFault(Exception):
@@ -80,23 +80,21 @@ def _row(case: str, kind: str, rec: Result, expect: str = "") -> dict:
     return row
 
 
-def _fault(exc: Exception, seed: int, tol_abs: float, tol_rel: float) -> Result:
+def _fault(exc: Exception, seed: int, tol: float, rel: float) -> Result:
     """An ``error`` record carrying the tolerances the check would have
-    used."""
-    return Result("error", "none", seed=seed, tol_abs=tol_abs, tol_rel=tol_rel,
+    used: ``tol``, and ``rel`` as the relative one."""
+    return Result("error", "none", seed=seed, tol_abs=tol, tol_rel=rel,
                   detail=f"{type(exc).__name__}: {exc}")
 
 
 def _call(check, seed: int, tol: float | None, *args, **kw) -> Result:
-    """``check(*args, seed=seed, **kw)``: ``tol`` overrides both
-    tolerances, and a runtime fault becomes an ``error`` record."""
-    if tol is not None:
-        kw.update(tol_abs=tol, tol_rel=tol)
+    """``check(*args, seed=seed, tol=tol, **kw)``, with ``tol`` None
+    meaning TOL; a runtime fault becomes an ``error`` record."""
+    tol = TOL if tol is None else tol
     try:
-        return check(*args, seed=seed, **kw)
+        return check(*args, seed=seed, tol=tol, **kw)
     except ENTRY_FAULTS as exc:
-        t = DEFAULT_TOL if tol is None else tol
-        return _fault(exc, seed, t, t)
+        return _fault(exc, seed, tol, tol)
 
 
 def _operator_check(bundle: ProblemBundle, entry, mode: str = ""):
@@ -150,7 +148,7 @@ def _run_reduce(bundle: ProblemBundle, entry, candidate: str, seed: int,
         if stream is not None:
             for lhs, rhs in out.equations:
                 print(print_equation(lhs, rhs), file=stream)
-        t = DEFAULT_TOL if tol is None else tol
+        t = TOL if tol is None else tol
         out = Result(PASS, seed=seed, tol_abs=t, tol_rel=t)
     return _row(f"{bundle.name}:{entry.name}:derive", "derivation", out,
                 expect)
@@ -174,18 +172,11 @@ def _run_derive_cross(bundle: ProblemBundle, entry, seed: int,
 def _run_solution(bundle: ProblemBundle, spec, seed: int, tol: float | None,
                   fd: bool = False, expect: str = "") -> dict:
     """The solution's row: the spec's ``seed`` key, when set, pins the
-    seed in place of ``seed``."""
+    seed in place of ``seed``, and ``tol`` None means the spec's own
+    (``numeric.solution_tol``)."""
     sys_ = bundle.system(spec.of)
     if spec.seed is not None:
         seed = spec.seed
-    implicit = fd or spec.kind == "implicit"
-    # an explicit solution forced onto finite differences gets that path's
-    # default tolerance, not its own
-    use_tol = tol
-    if tol is None and not (fd and spec.kind != "implicit"):
-        use_tol = spec.tol
-    if use_tol is None:
-        use_tol = DEFAULT_IMPLICIT_TOL if implicit else DEFAULT_EXPLICIT_TOL
     if fd:
         residual = residual_fd
     elif spec.kind == "implicit":
@@ -193,9 +184,9 @@ def _run_solution(bundle: ProblemBundle, spec, seed: int, tol: float | None,
     else:
         residual = residual_explicit
     try:
-        rec = residual(spec, sys_, seed, tol=use_tol)
+        rec = residual(spec, sys_, seed, tol=tol)
     except ENTRY_FAULTS as exc:
-        rec = _fault(exc, seed, use_tol, 0.0)
+        rec = _fault(exc, seed, solution_tol(spec, fd, tol), 0.0)
     return _row(f"{bundle.name}:{spec.name}", "solution", rec, expect)
 
 
@@ -320,6 +311,8 @@ def _drive(args, jobs, honor_expect: bool = False) -> int:
     the rows; ``job(seed)`` returns its rows at that seed.  Returns the
     exit code."""
     seeds = _parse_seeds(args.seed)
+    if args.tol is not None and not 0 <= args.tol < float("inf"):
+        raise UsageFault(f"--tol takes a finite number >= 0, not {args.tol}")
     _header(seeds, args.tol, args.format, sys.stdout)
     records = [row for seed in seeds for job in jobs for row in job(seed)]
     _emit(records, args.format, sys.stdout)

@@ -32,12 +32,11 @@ from .expr import (
 from .jets import JetSpace, VectorField, prolong
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
-    FAIL, INCONCLUSIVE, PASS, Constraint, Result, draws, kept_build,
+    FAIL, INCONCLUSIVE, PASS, TOL, Constraint, Result, draws, kept_build,
     within_tol,
 )
 
-# pass thresholds on the largest |residual| when a solution names none
-DEFAULT_EXPLICIT_TOL = 1e-9
+# pass threshold of an implicit or finite-difference check naming none
 DEFAULT_IMPLICIT_TOL = 1e-4
 
 
@@ -95,10 +94,10 @@ MAX_INTERVALS = 2 ** 14
 INSTANCE_TOL = 1e-12
 
 
-def quadrature(integrand, a: float = 0.0, b: float = 1.0,
-               tol_abs: float = 1e-10):
+def quadrature(integrand, a: float = 0.0, b: float = 1.0, tol: float = 1e-10):
     """Adaptive Gauss-Kronrod integration of the callable ``integrand``
-    over [a, b].  Returns (value, error estimate)."""
+    over [a, b], to the absolute error ``tol``.  Returns (value, error
+    estimate)."""
     if a == b:
         return 0.0, 0.0
     sign = 1.0
@@ -111,7 +110,7 @@ def quadrature(integrand, a: float = 0.0, b: float = 1.0,
     while stack:
         lo, hi = stack.pop()
         val, err = _gk15(integrand, lo, hi)
-        if err <= tol_abs * (hi - lo) / (b - a) or used >= MAX_INTERVALS:
+        if err <= tol * (hi - lo) / (b - a) or used >= MAX_INTERVALS:
             total += val
             total_err += err
             used += 1
@@ -119,7 +118,7 @@ def quadrature(integrand, a: float = 0.0, b: float = 1.0,
             mid = 0.5 * (lo + hi)
             stack.extend([(lo, mid), (mid, hi)])
             used += 1
-    if total_err > tol_abs * 10:
+    if total_err > tol * 10:
         raise ToleranceNotMet(f"quadrature error estimate {total_err:g}")
     return sign * total, total_err
 
@@ -134,7 +133,7 @@ def quadrature_instance(integrand_fn, lower: float = 0.0) -> OpaqueInstance:
     def value(x: float) -> float:
         if x not in cache:
             cache[x], _ = quadrature(integrand_fn, a=lower, b=x,
-                                     tol_abs=INSTANCE_TOL)
+                                     tol=INSTANCE_TOL)
         return cache[x]
 
     return OpaqueInstance(value, integrand_fn)
@@ -367,6 +366,18 @@ def _relations(spec: SolutionSpec, eq: EquationSystem) -> list:
              spec.brackets.get(u)) for u, res in spec.relations]
 
 
+def solution_tol(spec: SolutionSpec, fd: bool, tol: float | None = None) -> float:
+    """The pass threshold of a solution check: ``tol`` when given, else
+    the spec's own ``tol`` (but not for an explicit solution forced onto
+    finite differences, ``fd``), else DEFAULT_IMPLICIT_TOL for an
+    implicit solution or under finite differences and TOL otherwise."""
+    if tol is None and not (fd and spec.kind != "implicit"):
+        tol = spec.tol
+    if tol is None:
+        tol = DEFAULT_IMPLICIT_TOL if fd or spec.kind == "implicit" else TOL
+    return tol
+
+
 def _check_points(pts, residual_at, seed: int, tol: float,
                   provenance: str) -> Result:
     """The one sample-point loop of every solution check: ``residual_at``
@@ -385,7 +396,7 @@ def _check_points(pts, residual_at, seed: int, tol: float,
     if total == 0 or skipped > 0.2 * total:
         verdict = INCONCLUSIVE
     else:
-        verdict = PASS if within_tol(worst, tol, 0.0) else FAIL
+        verdict = PASS if within_tol(worst, tol) else FAIL
     return Result(verdict, provenance, witness_value=worst,
                   points_tested=total - skipped, points_skipped=skipped,
                   seed=seed, tol_abs=tol, tol_rel=0.0,
@@ -431,7 +442,7 @@ def residual_explicit(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
     """Substitute exact symbolic derivatives of an explicit solution into
     each equation and evaluate at its sample points (drawn with
     ``seed``); pass iff the largest |residual| is at most ``tol`` (None:
-    DEFAULT_EXPLICIT_TOL).  The substitution is made once per system and
+    :func:`solution_tol`).  The substitution is made once per system and
     kept on the spec."""
     if spec.kind != "explicit":
         raise ValueError("residual_explicit needs an explicit solution")
@@ -442,7 +453,7 @@ def residual_explicit(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
     return _check_points(
         _sample_points(spec, vars_, seed, constraints, binding),
         lambda p: max(abs(eval_numeric(r, p, binding)) for r in residuals),
-        seed, DEFAULT_EXPLICIT_TOL if tol is None else tol, "numeric")
+        seed, solution_tol(spec, False, tol), "numeric")
 
 
 def _solve_chain(relations, point, binding, dens=None) -> dict:
@@ -505,7 +516,7 @@ def residual_fd(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
     """Evaluate the equation residual with derivatives formed by central
     finite differences on values of the (implicitly defined) solution;
     pass iff the largest |residual| is at most ``tol`` (None:
-    DEFAULT_IMPLICIT_TOL).  It shares no derivative code with
+    :func:`solution_tol`).  It shares no derivative code with
     :func:`residual_implicit`, and is kept as its independent oracle."""
     binding = spec.make_binding()
     residual, jets, base_vars, samplable = _one_equation(
@@ -536,8 +547,7 @@ def residual_fd(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
             env[j] = sum(wgt * value_at(offs) for offs, wgt in combos)
         return abs(eval_numeric(residual, env, binding))
 
-    return _check_points(pts, residual_at, seed,
-                         DEFAULT_IMPLICIT_TOL if tol is None else tol,
+    return _check_points(pts, residual_at, seed, solution_tol(spec, True, tol),
                          "finite-difference")
 
 
@@ -600,7 +610,7 @@ def residual_implicit(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
     needs, of any order.  The derivatives are built once per system and
     kept on the spec.  A point where a relation is singular in its
     unknown is skipped.  Pass iff the largest |residual| is at most
-    ``tol`` (None: DEFAULT_IMPLICIT_TOL)."""
+    ``tol`` (None: :func:`solution_tol`)."""
     if spec.kind != "implicit":
         raise ValueError("residual_implicit needs an implicit solution")
     binding = spec.make_binding()
@@ -618,6 +628,5 @@ def residual_implicit(spec: SolutionSpec, eq: EquationSystem, seed: int = 0,
             env[sym] = -eval_numeric(e, env, binding) / den[i]
         return abs(eval_numeric(residual, env, binding))
 
-    return _check_points(pts, residual_at, seed,
-                         DEFAULT_IMPLICIT_TOL if tol is None else tol,
+    return _check_points(pts, residual_at, seed, solution_tol(spec, False, tol),
                          "implicit-exact")

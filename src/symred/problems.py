@@ -166,6 +166,14 @@ def _step(text: str, ln: int) -> float:
     return h
 
 
+def _tolerance(text: str, ln: int) -> float:
+    """A pass threshold: a finite number of at least 0."""
+    tol = _number(text, ln)
+    if not 0 <= tol < float("inf"):
+        raise ParseError(f"expected a finite tolerance >= 0, got {tol}", ln)
+    return tol
+
+
 def _range(text: str, ln: int):
     if ".." not in text:
         raise ParseError("range needs 'lo .. hi'", ln)
@@ -498,12 +506,12 @@ class _Loader:
         spec.guesses = {v: _number(value, ln)
                         for ln, v, value in sec.named("guess", "var = value")}
         spec.grid = sec.last(
-            "grid", lambda text, ln: tuple(_integer(p, ln) for p in text.split()),
+            "grid", lambda text, ln: tuple(_count(p, ln) for p in text.split()),
             spec.grid)
         spec.h = sec.last("h", _step, spec.h)
         spec.n = sec.last("n", _count, spec.n)
         spec.seed = sec.last("seed", _integer, spec.seed)
-        spec.tol = sec.last("tol", _number, spec.tol)
+        spec.tol = sec.last("tol", _tolerance, spec.tol)
         spec.expect = sec.expect()
         if not spec.of or spec.of not in bundle.equations and \
                 spec.of not in bundle.reduced:

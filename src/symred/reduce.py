@@ -28,7 +28,7 @@ from .rewrites import (
 )
 from .systems import EquationSystem, restrict_to_manifold
 from .zerotest import (
-    FAIL, NONZERO, ZERO_VERDICT, Constraint, Result, check_parts,
+    FAIL, NONZERO, TOL, ZERO_VERDICT, Constraint, Result, check_parts,
     check_seed, combine, draws, free_numeric_symbols, is_zero, kept_build,
     zero_test,
 )
@@ -139,7 +139,7 @@ def _compat_residuals(rules, js: JetSpace):
 
 def verify_reduction(a: Ansatz, original: EquationSystem,
                      candidate: EquationSystem, seed: int = 0,
-                     tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
+                     tol: float = TOL) -> Result:
     """Check that the ansatz maps solutions of the candidate reduced
     system to solutions of the original: substitute the ansatz into each
     original equation (and into the targets' own cross-derivative
@@ -149,7 +149,7 @@ def verify_reduction(a: Ansatz, original: EquationSystem,
     constraints, parts = kept_build(
         a._builds, (original, candidate),
         lambda: _reduction_parts(a, original, candidate))
-    return check_parts(parts, constraints, seed, tol_abs, tol_rel)
+    return check_parts(parts, constraints, seed, tol)
 
 
 def _reduction_parts(a: Ansatz, original: EquationSystem,
@@ -185,7 +185,7 @@ def _coefficient_split(r: Expr, elim):
 
 
 def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
-                     tol_abs: float = 1e-9, tol_rel: float = 1e-9):
+                     tol: float = TOL):
     """Derive the reduced system the ansatz imposes on its unknown
     functions, or explain why none exists.
 
@@ -194,15 +194,14 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
     dependents); each coefficient becomes one equation, solved linearly
     for its highest unknown-function derivative.  Returns an
     EquationSystem on success, and otherwise a failing Result whose
-    ``detail`` gives the reason.  The tolerances apply where two
+    ``detail`` gives the reason.  The tolerance applies where two
     separated equations for the same derivative are compared.  The
     separation, the solved equations and the system of each outcome are
     made once per original and kept on the ansatz; only that comparison
     takes the seed.
     """
     def failure(reason: str) -> Result:
-        return Result(FAIL, detail=reason, seed=seed, tol_abs=tol_abs,
-                      tol_rel=tol_rel)
+        return Result(FAIL, detail=reason, seed=seed, tol_abs=tol, tol_rel=tol)
 
     solved, systems = kept_build(a._builds, (original,),
                                  lambda: (_derivation(a, original), {}))
@@ -219,8 +218,7 @@ def derive_reduction(a: Ansatz, original: EquationSystem, seed: int = 0,
             if kept_eqs[lead] == rhs:
                 continue
             zr = is_zero(kept_eqs[lead] - rhs, frame.constraints,
-                         seed=check_seed(seed, 500 + i), tol_abs=tol_abs,
-                         tol_rel=tol_rel)
+                         seed=check_seed(seed, 500 + i), tol=tol)
             if zr.is_zero:
                 continue
             return failure(
@@ -310,8 +308,7 @@ def _derivation(a: Ansatz, original: EquationSystem):
 
 
 def systems_equivalent(s1: EquationSystem, s2: EquationSystem, seed: int = 0,
-                       constraints=(), tol_abs: float = 1e-9,
-                       tol_rel: float = 1e-9) -> Result:
+                       constraints=(), tol: float = TOL) -> Result:
     """Same leading coordinates and identical right sides on the shared
     constraint domain."""
     e1, e2 = dict(s1.equations), dict(s2.equations)
@@ -319,12 +316,11 @@ def systems_equivalent(s1: EquationSystem, s2: EquationSystem, seed: int = 0,
         missing = set(e1) ^ set(e2)
         zr = Result(NONZERO, witness={
             "leads": sorted(print_expression(j) for j in missing)})
-        return combine([("leading coordinates differ", zr)], seed, tol_abs,
-                       tol_rel)
+        return combine([("leading coordinates differ", zr)], seed, tol)
     cs = tuple(constraints) + tuple(s1.constraints) + tuple(s2.constraints)
     parts = ((print_expression(lead), e1[lead] - e2[lead])
              for lead in sorted(e1, key=lambda j: (j.dep, j.index)))
-    return check_parts(parts, cs, seed, tol_abs, tol_rel)
+    return check_parts(parts, cs, seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +344,14 @@ class BacklundRelation:
 
 
 def verify_backlund(bt: BacklundRelation, seed: int = 0,
-                    tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
+                    tol: float = TOL) -> Result:
     """Pass iff, modulo the source equation and the relations themselves,
     (a) the relations are cross-derivative compatible and (b) the target
     equation's residual vanishes.  The restricted residuals are built
     once and kept on the relation."""
     constraints, parts = kept_build(bt._builds, (),
                                     lambda: _backlund_parts(bt))
-    return check_parts(parts, constraints, seed, tol_abs, tol_rel)
+    return check_parts(parts, constraints, seed, tol)
 
 
 def _backlund_parts(bt: BacklundRelation):
@@ -472,7 +468,7 @@ def _solved_points(pair: _PairBuild, points, rng):
 
 
 def check_overdetermined(spec: OverdeterminedSpec, js: JetSpace, seed: int = 0,
-                         tol_abs: float = 1e-9, tol_rel: float = 1e-9) -> Result:
+                         tol: float = TOL) -> Result:
     """Compatibility of an overdetermined pair of first-order relations
     for one dependent variable.
 
@@ -487,8 +483,7 @@ def check_overdetermined(spec: OverdeterminedSpec, js: JetSpace, seed: int = 0,
     pair = kept_build(spec._builds, (js,),
                       lambda: _pair_build(spec.assignments, js))
     if not pair.leftovers:
-        return combine([("compatibility", Result(ZERO_VERDICT))], seed,
-                       tol_abs, tol_rel)
+        return combine([("compatibility", Result(ZERO_VERDICT))], seed, tol)
 
     results = []
     for i, (lo, free) in enumerate(pair.leftovers):
@@ -497,6 +492,5 @@ def check_overdetermined(spec: OverdeterminedSpec, js: JetSpace, seed: int = 0,
                        PAIR_DRAWS, (0.2, 2.0))
         results.append((f"compatibility condition {i}",
                         zero_test(lo, _solved_points(pair, points, rng),
-                                  spec.n, check_seed(seed, i), tol_abs,
-                                  tol_rel)))
-    return combine(results, seed, tol_abs, tol_rel)
+                                  spec.n, check_seed(seed, i), tol)))
+    return combine(results, seed, tol)

@@ -3,7 +3,7 @@
 Symbolic normalization is best-effort, so identity checking falls back
 to seeded random evaluation: if the normalized expression is not the
 literal 0, sample points inside the declared domain constraints and
-compare against a mixed absolute/relative tolerance.  Opaque function
+compare against one tolerance, absolute and relative.  Opaque function
 symbols are instantiated per sample point as random polynomials with an
 exact derivative chain, so identities that hold for arbitrary smooth F
 survive while structural mutants are caught.
@@ -27,6 +27,8 @@ INCONCLUSIVE = "inconclusive"
 # a zero test's points, and its seeded draws, rejected ones included
 SAMPLES = 64
 RETRY_BUDGET = 1024
+# the tolerance of every zero test and check that is given none
+TOL = 1e-9
 
 _REL_OPS = {
     "!=": lambda v: v != 0.0,
@@ -59,10 +61,9 @@ PASS = "pass"
 FAIL = "fail"
 
 
-def within_tol(value: float, tol_abs: float, tol_rel: float,
-               scale: float = 0.0) -> bool:
-    """The one pass rule of every check: |value| <= tol_abs + tol_rel*scale."""
-    return abs(value) <= tol_abs + tol_rel * scale
+def within_tol(value: float, tol: float, scale: float = 0.0) -> bool:
+    """The one pass rule of every check: |value| <= tol + tol*scale."""
+    return abs(value) <= tol + tol * scale
 
 
 @dataclass
@@ -88,8 +89,8 @@ class Result:
     points_tested: int = 0
     points_skipped: int = 0
     seed: int = 0
-    tol_abs: float = 1e-9
-    tol_rel: float = 1e-9
+    tol_abs: float = TOL
+    tol_rel: float = TOL
     label: str = ""
     parts: tuple = ()
     detail: str = ""
@@ -103,7 +104,7 @@ class Result:
         return self.verdict == PASS
 
 
-def combine(labelled, seed: int, tol_abs: float, tol_rel: float) -> Result:
+def combine(labelled, seed: int, tol: float) -> Result:
     """One check's result from its (label, zero-test result) pairs: fail
     if any part is nonzero (the first one gives the witness), else
     inconclusive if any part is, else pass."""
@@ -120,7 +121,7 @@ def combine(labelled, seed: int, tol_abs: float, tol_rel: float) -> Result:
                   witness=failing[0].witness if failing else None,
                   witness_value=max((r.witness_value for r in parts), key=abs,
                                     default=0.0),
-                  seed=seed, tol_abs=tol_abs, tol_rel=tol_rel, parts=parts)
+                  seed=seed, tol_abs=tol, tol_rel=tol, parts=parts)
 
 
 def kept_build(builds: dict, key: tuple, make):
@@ -199,8 +200,7 @@ def draws(symbols, constraints, rng: random.Random,
         yield point, b
 
 
-def zero_test(e: Expr, points, n: int, seed: int, tol_abs: float,
-              tol_rel: float) -> Result:
+def zero_test(e: Expr, points, n: int, seed: int, tol: float) -> Result:
     """The one zero-test loop over (point, binding) pairs, pulled only
     while fewer than ``n`` points are tested; a point where ``e`` raises
     DomainFault is skipped.  Nonzero at the first point out of tolerance,
@@ -216,19 +216,18 @@ def zero_test(e: Expr, points, n: int, seed: int, tol_abs: float,
         except DomainFault:
             continue
         tested += 1
-        if not within_tol(val, tol_abs, tol_rel, scale):
+        if not within_tol(val, tol, scale):
             return Result(NONZERO, "probabilistic",
                           witness={print_expression(k): v for k, v in point.items()},
                           witness_value=val, points_tested=tested, seed=seed,
-                          tol_abs=tol_abs, tol_rel=tol_rel)
+                          tol_abs=tol, tol_rel=tol)
     verdict = ZERO_VERDICT if tested >= max(n, 1) else INCONCLUSIVE
     return Result(verdict, "probabilistic", points_tested=tested, seed=seed,
-                  tol_abs=tol_abs, tol_rel=tol_rel)
+                  tol_abs=tol, tol_rel=tol)
 
 
-def is_zero(e: Expr, constraints=(), seed: int = 0, tol_abs: float = 1e-9,
-            tol_rel: float = 1e-9, binding: ParameterBinding | None = None,
-            box=None) -> Result:
+def is_zero(e: Expr, constraints=(), seed: int = 0, tol: float = TOL,
+            binding: ParameterBinding | None = None, box=None) -> Result:
     """Decide whether ``e`` vanishes identically on the constrained domain:
     zero once SAMPLES in-domain points pass, inconclusive when
     RETRY_BUDGET draws do not find them.
@@ -239,10 +238,9 @@ def is_zero(e: Expr, constraints=(), seed: int = 0, tol_abs: float = 1e-9,
     binding = binding or ParameterBinding()
     if isinstance(e, Num):
         if e.value == 0:
-            return Result(ZERO_VERDICT, seed=seed, tol_abs=tol_abs,
-                          tol_rel=tol_rel)
+            return Result(ZERO_VERDICT, seed=seed, tol_abs=tol, tol_rel=tol)
         return Result(NONZERO, witness={}, witness_value=float(e.value),
-                      seed=seed, tol_abs=tol_abs, tol_rel=tol_rel)
+                      seed=seed, tol_abs=tol, tol_rel=tol)
 
     exprs = [e] + [c.expr for c in constraints]
     unbound_fns = sorted(set().union(*map(opaque_names, exprs))
@@ -252,16 +250,15 @@ def is_zero(e: Expr, constraints=(), seed: int = 0, tol_abs: float = 1e-9,
         key=print_expression)
     points = draws(symbols, constraints, random.Random(seed), binding, box,
                    opaque=unbound_fns)
-    return zero_test(e, points, SAMPLES, seed, tol_abs, tol_rel)
+    return zero_test(e, points, SAMPLES, seed, tol)
 
 
-def check_parts(labelled, constraints, seed: int, tol_abs: float,
-                tol_rel: float) -> Result:
+def check_parts(labelled, constraints, seed: int, tol: float) -> Result:
     """One check's result from its (label, residual) parts: part i is
     zero-tested on its own stream ``check_seed(seed, i)`` and the results
     are combined.  ``labelled`` may be a generator; part i+1 is then
     built only after part i has been tested."""
     return combine(((label, is_zero(r, constraints, seed=check_seed(seed, i),
-                                    tol_abs=tol_abs, tol_rel=tol_rel))
+                                    tol=tol))
                     for i, (label, r) in enumerate(labelled)),
-                   seed, tol_abs, tol_rel)
+                   seed, tol)

@@ -9,6 +9,7 @@ import pytest
 
 from symred import cli
 from symred.cli import UsageFault, main, run_suite
+from symred.numeric import solution_tol
 from symred.problems import load_problem
 
 DATA = resources.files("symred") / "data"
@@ -450,3 +451,86 @@ def test_singular_invariant_chain_is_an_error_row_and_the_rest_runs(
     rows = {row["case"]: row for row in run_suite(load_problem(bundle), 0)}
     assert rows["b:loop->tw"]["verdict"] == "error"
     assert rows["b:travel->tw"]["verdict"] == "pass"
+
+
+# the tolerance a solution row reports without --tol, by (kind, whether
+# the spec has a tol key, --fd); --fd puts an explicit form on its own
+# default whatever its key
+SOLUTION_TOLS = {
+    ("explicit", False, False): 1e-9,
+    ("explicit", True, False): 1e-7,
+    ("explicit", False, True): 1e-4,
+    ("explicit", True, True): 1e-4,
+    ("implicit", False, False): 1e-4,
+    ("implicit", True, False): 1e-7,
+    ("implicit", False, True): 1e-4,
+    ("implicit", True, True): 1e-7,
+}
+
+ONE_EQUATION = """[space]
+independent x t
+dependent u(x,t)
+
+[equation heat]
+u[t] = u[x,x]
+
+[solution explicit]
+kind explicit
+of heat
+u = x
+box x = 0 .. 1
+box t = 0 .. 1
+n 4
+{key}
+
+[solution implicit]
+kind implicit
+of heat
+relation u : u = x
+box x = 0 .. 1
+box t = 0 .. 1
+n 4
+{key}
+"""
+
+# residual_implicit and residual_fd take one equation, so every row of
+# this bundle but the explicit one without --fd is an error row
+TWO_EQUATIONS = ONE_EQUATION.replace(
+    "dependent u(x,t)", "dependent u(x,t)\ndependent v(x,t)").replace(
+    "u[t] = u[x,x]", "u[t] = u[x,x]\nv[t] = v[x,x]").replace(
+    "u = x\n", "u = x\nv = x\n")
+
+
+@pytest.mark.parametrize("text", [ONE_EQUATION, TWO_EQUATIONS],
+                         ids=["rows", "error-rows"])
+def test_solution_tol_is_the_tolerance_every_solution_row_reports(
+        capsys, tmp_path, text):
+    verdicts = set()
+    for (kind, keyed, fd), want in SOLUTION_TOLS.items():
+        bundle = tmp_path / "b.prob"
+        bundle.write_text(text.format(key="tol 1e-7" if keyed else ""),
+                          encoding="utf-8")
+        spec = load_problem(bundle).solutions[kind]
+        for tol in (None, 0.5):
+            argv = ["verify", str(bundle), "--solution", kind,
+                    "--format", "json-lines"] + ["--fd"] * fd
+            if tol is not None:
+                argv += ["--tol", str(tol)]
+            _, out, _ = run(capsys, *argv)
+            row = json.loads(out)
+            verdicts.add(row["verdict"])
+            assert solution_tol(spec, fd, tol) == \
+                (want if tol is None else tol), (kind, keyed, fd, tol)
+            assert row["tolerances"] == \
+                {"abs": solution_tol(spec, fd, tol), "rel": 0.0}
+    assert verdicts == ({"pass"} if text is ONE_EQUATION else {"pass", "error"})
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_a_tolerance_that_decides_nothing_is_a_usage_fault(capsys, tol):
+    # nan and a negative tolerance fail every check, inf passes every one
+    code, out, err = run(capsys, "check", path("eq3"), "--tol", tol)
+    assert (code, out) == (3, "")
+    assert "--tol" in err
+    code, out, _ = run(capsys, "paper-suite", "--tol", tol)
+    assert (code, out) == (3, "")

@@ -1,12 +1,16 @@
 """Repository hygiene: no unused imports, no imports of another module's
 private names and no unread module-level definitions in the library, one
-walk that rebuilds trees, one point source and one zero-test loop, and
-the library runs without numpy."""
+walk that rebuilds trees, one point source and one zero-test loop, one
+tolerance per verdict, and the library runs without numpy."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import symred
@@ -180,6 +184,75 @@ def test_rebuild_scan_sees_a_call(tmp_path):
     assert _callers(mod, "fold") == \
         [("mod.py", 4, "walk"), ("mod.py", 9, "ok")]
     assert _callers(mod, "sample_point") == []
+
+
+# every verdict function of the library, and the zero-test functions
+# each check is decided by
+VERDICTS = ("check_classical", "check_conditional", "check_lie_backlund",
+            "verify_reduction", "derive_reduction", "systems_equivalent",
+            "verify_backlund", "check_overdetermined",
+            "is_zero", "zero_test", "check_parts", "combine")
+
+
+def _library_modules() -> list:
+    return [importlib.import_module(f"symred.{p.stem}")
+            for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+
+
+def _functions(mod) -> dict:
+    """``qualified name -> function`` for the functions a module defines
+    and the methods of its classes; a dataclass's generated ``__init__``
+    is left out, as its parameters are the record's fields."""
+    out = {}
+    for name, obj in vars(mod).items():
+        if getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isfunction(obj):
+            out[name] = obj
+        elif inspect.isclass(obj):
+            out.update((f"{name}.{k}", getattr(obj, k)) for k in vars(obj)
+                       if inspect.isroutine(getattr(obj, k)) and not (
+                           k == "__init__" and dataclasses.is_dataclass(obj)))
+    return out
+
+
+def _pair_parameters(modules) -> list:
+    """``module.function parameter`` for every ``tol_abs`` or ``tol_rel``
+    parameter of a function in ``modules``."""
+    return sorted(f"{mod.__name__}.{name} {p}" for mod in modules
+                  for name, fn in _functions(mod).items()
+                  for p in inspect.signature(fn).parameters
+                  if p in ("tol_abs", "tol_rel"))
+
+
+def test_every_verdict_takes_one_tolerance():
+    # the Result record keeps tol_abs and tol_rel as the row's
+    # tolerances; no function takes them apart
+    modules = _library_modules()
+    assert _pair_parameters(modules) == []
+    verdicts = {name: fn for mod in modules
+                for name, fn in _functions(mod).items() if name in VERDICTS}
+    assert sorted(verdicts) == sorted(VERDICTS)
+    assert [name for name, fn in verdicts.items()
+            if "tol" not in inspect.signature(fn).parameters] == []
+
+
+def test_pair_parameter_scan_sees_a_pair():
+    mod = types.ModuleType("mod")
+    exec("import dataclasses\n"
+         "from math import isclose\n"
+         "def f(x, tol_abs=1.0, tol=2.0):\n    pass\n"
+         "def g(x, tol=1.0):\n    pass\n"
+         "class K:\n"
+         "    def m(self, tol_rel):\n        pass\n"
+         "    @staticmethod\n"
+         "    def s(tol_abs, tol_rel):\n        pass\n"
+         "@dataclasses.dataclass\n"
+         "class R:\n    tol_abs: float = 0.0\n", mod.__dict__)
+    assert _pair_parameters([mod]) == [
+        "mod.K.m tol_rel", "mod.K.s tol_abs", "mod.K.s tol_rel",
+        "mod.f tol_abs"]
+    assert "isclose" not in _functions(mod)
 
 
 def test_paper_suite_runs_without_numpy():

@@ -161,6 +161,15 @@ def test_explicit_report_counts_pinned(bundles, monkeypatch):
     assert (rep.points_tested + rep.points_skipped, rep.points_skipped) == (60, 0)
 
 
+def test_a_solution_check_without_tol_takes_the_specs_own(bundles):
+    b = bundles["ode32"]
+    spec = b.solutions["eq38"]
+    assert (spec.of, spec.tol) == ("eq35", 1e-8)
+    rep = residual_explicit(spec, b.system(spec.of))
+    assert rep.passed
+    assert (rep.tol_abs, rep.tol_rel) == (1e-8, 0.0)
+
+
 def test_grid_plan_point_count():
     js, sys_ = decay_system()
     sol = SolutionSpec("exact", explicit=[("u", func("exp", -Var("t")))],

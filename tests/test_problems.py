@@ -89,6 +89,11 @@ def test_error_reports_line_number():
     ("[solution s]", "bracket u 0 .. 1"),
     ("[solution s]", "guess u 0.5"),
     ("[solution s]", "grid 5 x"),
+    ("[solution s]", "grid 0 5"),
+    ("[solution s]", "grid -2 5"),
+    ("[solution s]", "tol nan"),
+    ("[solution s]", "tol -1"),
+    ("[solution s]", "tol inf"),
     ("[solution s]", "n many"),
     ("[solution s]", "n 0"),
     ("[solution s]", "seed 1.5"),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -168,7 +169,7 @@ def test_combine_labels_parts_and_takes_the_first_failing_witness():
              ("c", Result("nonzero", "probabilistic", witness={"x": 2.0},
                           witness_value=-0.75, points_tested=1)),
              ("d", Result("inconclusive", "probabilistic", points_tested=2))]
-    rep = combine(parts, seed=4, tol_abs=1e-6, tol_rel=0.0)
+    rep = combine(parts, seed=4, tol=1e-6)
     assert [(p.label, p.verdict) for p in rep.parts] == \
         [("a", "zero"), ("b", "nonzero"), ("c", "nonzero"),
          ("d", "inconclusive")]
@@ -176,9 +177,9 @@ def test_combine_labels_parts_and_takes_the_first_failing_witness():
     assert rep.witness == {"x": 1.0}
     assert rep.witness_value == -0.75  # largest in magnitude
     assert rep.provenance == "probabilistic"
-    assert (rep.seed, rep.tol_abs, rep.tol_rel) == (4, 1e-6, 0.0)
-    assert combine(parts[3:], 0, 1e-9, 1e-9).verdict == "inconclusive"
-    only_zero = combine(parts[:1], 0, 1e-9, 1e-9)
+    assert (rep.seed, rep.tol_abs, rep.tol_rel) == (4, 1e-6, 1e-6)
+    assert combine(parts[3:], 0, 1e-9).verdict == "inconclusive"
+    only_zero = combine(parts[:1], 0, 1e-9)
     assert only_zero.passed and only_zero.provenance == "symbolic"
 
 
@@ -189,12 +190,12 @@ def test_check_parts_is_combine_over_seeded_zero_tests():
                  ("identity", func("sin", x) ** 2 + func("cos", x) ** 2 - Num(1)),
                  ("nonzero", func("sin", x) - x),
                  ("undefined everywhere", func("ln", -x * x - Num(1)))]
-    for seed in (0, 3):
-        got = check_parts(iter(residuals), cs, seed, 1e-9, 1e-6)
+    for seed, tol in product((0, 3), (1e-9, 1e-6)):
+        got = check_parts(iter(residuals), cs, seed, tol)
         want = combine([(label, is_zero(r, cs, seed=check_seed(seed, i),
-                                        tol_abs=1e-9, tol_rel=1e-6))
+                                        tol=tol))
                         for i, (label, r) in enumerate(residuals)],
-                       seed, 1e-9, 1e-6)
+                       seed, tol)
         assert got == want
         assert [p.verdict for p in got.parts] == \
             ["zero", "zero", "nonzero", "inconclusive"]
